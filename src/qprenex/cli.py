@@ -60,6 +60,10 @@ EXIT_INVARIANT = 2
 EXIT_REFUSED = 3
 
 
+class _InputError(Exception):
+    """A bad argument or environment setting, reported as exit code 1."""
+
+
 def _transform(mode: str, formula: Formula, gen: FreshGen) -> Formula:
     if mode == "sat":
         return prenex(Kind.EXISTS, formula, gen)
@@ -79,9 +83,12 @@ def _digest(path: str) -> str:
 
 def _seed(args: argparse.Namespace) -> int:
     env = os.environ.get("QPRENEX_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError:
+        raise _InputError(f"QPRENEX_SEED must be an integer, got {env!r}") from None
 
 
 def _format_valuation(valuation: Valuation, names) -> str:
@@ -224,6 +231,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.max_k < 1 and args.corpus < 1:
+        raise _InputError("nothing to measure: --max-k and --corpus are both below 1")
     rng = random.Random(_seed(args))
     rows: list[dict[str, object]] = []
 
@@ -331,7 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     sys.setrecursionlimit(20_000)
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

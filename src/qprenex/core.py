@@ -415,7 +415,10 @@ def substitute(phi: Formula, sigma: Substitution) -> Formula:
                 return f
         return Quant(f.kind, f.block, go(f.body, live))
 
-    return go(phi, dict(sigma))
+    try:
+        return go(phi, dict(sigma))
+    finally:
+        del go  # break the closure's reference cycle so its frame is freed
 
 
 def is_free_for(phi: Formula, key: str, replacement: Formula) -> bool:
@@ -510,7 +513,10 @@ def fold_constants(phi: Formula, table: OperatorTable | None = None) -> Formula:
             return TRUE if value else FALSE
         return App(op, args)
 
-    return go(phi)
+    try:
+        return go(phi)
+    finally:
+        del go, negated  # break the closures' reference cycle
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +590,10 @@ class FreshGen:
         return cls(highest + 1)
 
     def allocate(self) -> int:
+        return self.reserve(1)
+
+    def reserve(self, count: int) -> int:
+        """Allocate ``count`` consecutive indices; returns the first."""
         index = self._next
-        self._next += 1
+        self._next += count
         return index

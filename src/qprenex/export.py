@@ -130,7 +130,10 @@ def lower_operators(phi: Formula, table: OperatorTable | None = None) -> Formula
             expansion = App("or", (expansion, term))
         return expansion
 
-    return go(phi)
+    try:
+        return go(phi)
+    finally:
+        del go  # break the closure's reference cycle so its frame is freed
 
 
 def to_prenex_text(phi: Formula) -> str:
@@ -213,7 +216,10 @@ def to_qcir(
             return new_gate(f"ite({a}, {b}, {-b})")
         raise UnloweredOperator(op)
 
-    output = encode(matrix)
+    try:
+        output = encode(matrix)
+    finally:
+        del encode, new_gate  # break the closures' reference cycle
     lines = [f"#QCIR-G14 {counter}"]
     free = [i for i in range(1, declared + 1) if all(i not in b for _, b in blocks)]
     if free:
@@ -293,12 +299,15 @@ def to_qdimacs(
             raise UnloweredOperator(f.op)
         raise UnloweredOperator(f.op)
 
-    if matrix == TRUE:
-        pass
-    elif matrix == FALSE:
-        clauses.append([])
-    else:
-        clauses.append([encode(matrix)])
+    try:
+        if matrix == TRUE:
+            pass
+        elif matrix == FALSE:
+            clauses.append([])
+        else:
+            clauses.append([encode(matrix)])
+    finally:
+        del encode, new_gate  # break the closures' reference cycle
 
     if definitions:
         blocks = blocks + [(Kind.EXISTS, definitions)]

@@ -400,7 +400,10 @@ def format_formula(phi: Formula) -> str:
         args = ", ".join(emit(a, _LEVEL_QUANT) for a in f.args)
         return f"{f.op}({args})"
 
-    return emit(phi, _LEVEL_QUANT)
+    try:
+        return emit(phi, _LEVEL_QUANT)
+    finally:
+        del emit  # break the closure's reference cycle so its frame is freed
 
 
 def format_problem(problem: Problem) -> str:

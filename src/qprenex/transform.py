@@ -1,6 +1,6 @@
 """Quantifier prenexing with linear size growth and preserved quantifier depth.
 
-The pipeline works on the outermost layer of quantifiers at a time:
+The construction is defined on the outermost layer of quantifiers at a time:
 
 * :func:`decompose_outermost` splits a formula into a boolean skeleton over
   fresh abbreviation variables plus one binding per maximal quantified
@@ -9,10 +9,11 @@ The pipeline works on the outermost layer of quantifiers at a time:
   by a biconditional against its body (quantified variables replaced by
   fresh positive copies), and a guard per binding ties positive to negative
   copies so the dropped quantifiers can be re-bound outside.
-* :func:`prenex` iterates the step, fusing each layer's introduced variables
-  into one alternating prefix; :func:`prenex_mc` instead rebuilds the boolean
-  skeleton over independently prenexed subformulas, which preserves logical
-  equivalence rather than just equisatisfiability.
+* :func:`prenex` produces exactly what iterating the step would, fusing each
+  layer's introduced variables into one alternating prefix, but writes every
+  layer in one linear-time pass over the input; :func:`prenex_mc` instead
+  rebuilds the boolean skeleton over independently prenexed subformulas,
+  which preserves logical equivalence rather than just equisatisfiability.
 
 :func:`naive_prenex` is the classic preprocessing baseline kept as a foil
 and secondary oracle: quantifiers move directly across monotone operators,
@@ -27,6 +28,7 @@ from typing import Mapping
 
 from .core import (
     App,
+    CaptureError,
     FALSE,
     Formula,
     FreshGen,
@@ -37,9 +39,11 @@ from .core import (
     ROLE_NEG,
     ROLE_POS,
     TRUE,
+    RESERVED_CHAR,
     Var,
     abbrev_name,
     big_conj,
+    classify_name,
     conj,
     disj,
     free_vars,
@@ -124,7 +128,10 @@ def decompose_outermost(phi: Formula, gen: FreshGen | None = None) -> Decomposit
             return Var(name)
         return App(f.op, tuple(walk(a) for a in f.args))
 
-    skeleton = walk(phi)
+    try:
+        skeleton = walk(phi)
+    finally:
+        del walk  # break the closure's reference cycle so its frame is freed
     return Decomposition(skeleton, tuple(bindings))
 
 
@@ -240,30 +247,138 @@ def step_transform(kind: Kind, phi: Formula, gen: FreshGen | None = None) -> Ste
     return StepResult(psi, frozenset(negatives), frozenset(positives), name_map)
 
 
+def _layer_counts(phi: Formula) -> list[int]:
+    """Number of quantifier nodes at each layer (layer 0 is outermost)."""
+    counts: list[int] = []
+    stack: list[tuple[Formula, int]] = [(phi, 0)]
+    while stack:
+        f, layer = stack.pop()
+        if isinstance(f, Quant):
+            if layer == len(counts):
+                counts.append(0)
+            counts[layer] += 1
+            stack.append((f.body, layer + 1))
+        elif isinstance(f, App):
+            stack.extend((a, layer) for a in f.args)
+    return counts
+
+
+def _check_capture(f: Quant, env: dict[str, Var]) -> None:
+    """Raise :class:`CaptureError` where ``f`` rebinds a positive copy that
+    currently stands for a variable occurring free in its body.
+
+    Only a generator whose indices collide with names already in the input
+    can cause this; it is the check :func:`substitute` makes for the
+    layered construction.
+    """
+    for y in f.block:
+        info = classify_name(y)
+        if info is None or info.role != ROLE_POS or info.origin in f.block:
+            continue
+        current = env.get(info.origin)
+        if current is not None and current.name == y and info.origin in free_vars(f.body):
+            raise CaptureError(info.origin, y, f.block)
+
+
+_ENTER, _LEAVE_APP, _LEAVE_QUANT = range(3)
+
+
 def prenex_tracked(
     kind: Kind, phi: Formula, gen: FreshGen | None = None
 ) -> tuple[Formula, frozenset[str]]:
-    """Like :func:`prenex`, also returning the first layer's negative copies."""
+    """Like :func:`prenex`, also returning the first layer's negative copies.
+
+    One pass does the work of iterating :func:`step_transform` per layer.
+    Indices are handed out layer by layer, left to right within a layer, as
+    the layered iteration would.  A single post-order walk then replaces
+    every quantifier node by its abbreviation variable, renaming bound
+    occurrences through one mutable environment (bound name -> current
+    positive copy), and files the node's definition and guard under its
+    layer.  The cores and fused blocks are assembled inside out at the end.
+    """
     gen = gen or FreshGen.for_formula(phi)
+    counts = _layer_counts(phi)
+    if not counts:
+        return phi, frozenset()
+    next_index: list[int] = []
+    index = gen.reserve(sum(counts))
+    for count in counts:
+        next_index.append(index)
+        index += count
+    parts: list[list[Formula]] = [[] for _ in counts]
+    positives: list[list[str]] = [[] for _ in counts]
+    negatives: list[list[str]] = [[] for _ in counts]
+    env: dict[str, Var] = {}
+    results: list[Formula] = []
+    stack: list[tuple] = [(_ENTER, phi, 0)]
+    while stack:
+        frame = stack.pop()
+        action, f = frame[0], frame[1]
+        if action == _ENTER:
+            if isinstance(f, Var):
+                results.append(env.get(f.name, f))
+            elif isinstance(f, App):
+                if f.args:
+                    layer = frame[2]
+                    stack.append((_LEAVE_APP, f))
+                    stack.extend((_ENTER, a, layer) for a in reversed(f.args))
+                else:
+                    results.append(f)
+            else:
+                if any(RESERVED_CHAR in y for y in f.block):
+                    _check_capture(f, env)
+                layer = frame[2]
+                index = next_index[layer]
+                next_index[layer] = index + 1
+                shadowed = [(x, env[x]) for x in f.block if x in env]
+                copies = [Var(pos_copy(x, index)) for x in f.block]
+                env.update(zip(f.block, copies))
+                stack.append((_LEAVE_QUANT, f, layer, index, shadowed, copies))
+                stack.append((_ENTER, f.body, layer + 1))
+        elif action == _LEAVE_APP:
+            n = len(f.args)
+            args = tuple(results[-n:])
+            del results[-n:]
+            unchanged = all(a is b for a, b in zip(args, f.args))
+            results.append(f if unchanged else App(f.op, args))
+        else:
+            _, _, layer, index, shadowed, copies = frame
+            for x in f.block:
+                del env[x]
+            env.update(shadowed)
+            abbrev = Var(abbrev_name(index))
+            layer_parts = parts[layer]
+            layer_parts.append(iff(abbrev, results.pop()))
+            positives[layer].append(abbrev.name)
+            if f.block:
+                partners = [Var(neg_copy(x, index)) for x in f.block]
+                equalities = big_conj([iff(p, q) for p, q in zip(copies, partners)])
+                head = neg(abbrev) if f.kind is Kind.EXISTS else abbrev
+                layer_parts.append(implies(head, equalities))
+                positives[layer].extend(p.name for p in copies)
+                negatives[layer].extend(q.name for q in partners)
+            results.append(abbrev)
 
-    def go(q: Kind, f: Formula) -> tuple[Formula, frozenset[str]]:
-        if is_boolean(f):
-            return f, frozenset()
-        step = step_transform(q, f, gen)
-        inner, inner_negatives = go(q.dual, step.psi)
-        fused = Quant(q.dual, tuple(step.pos | inner_negatives), inner)
-        return fused, step.neg
-
-    return go(kind, phi)
+    (matrix,) = results
+    kinds = [kind if layer % 2 == 0 else kind.dual for layer in range(len(counts))]
+    for q, layer_parts in zip(kinds, parts):
+        core = big_conj(layer_parts)
+        matrix = conj(core, matrix) if q is Kind.FORALL else implies(core, matrix)
+    inner_negatives: list[str] = []
+    for layer in reversed(range(len(counts))):
+        block = tuple(positives[layer] + inner_negatives)
+        matrix = Quant(kinds[layer].dual, block, matrix)
+        inner_negatives = negatives[layer]
+    return matrix, frozenset(negatives[0])
 
 
 def prenex(kind: Kind, phi: Formula, gen: FreshGen | None = None) -> Formula:
     """Full prenexing for satisfiability (EXISTS) or validity (FORALL) use.
 
-    Boolean formulas pass through unchanged.  Otherwise one layer is rewritten
-    and the recursion continues under the dual kind; each layer's positive
-    copies fuse with the next layer's negative copies into a single block, so
-    quantifier depth is preserved.
+    Boolean formulas pass through unchanged.  Otherwise every quantifier
+    layer is rewritten as by :func:`step_transform`, alternating from ``kind``
+    to its dual; each layer's positive copies fuse with the next layer's
+    negative copies into a single block, so quantifier depth is preserved.
     """
     return prenex_tracked(kind, phi, gen)[0]
 

@@ -203,6 +203,13 @@ class TestGenCommand:
         run(["gen", "--seed", "9", "--out", b])
         assert (tmp_path / "a.fqbf").read_text() == (tmp_path / "b.fqbf").read_text()
 
+    def test_bad_env_seed_is_an_input_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("QPRENEX_SEED", "abc")
+        assert run(["gen"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: QPRENEX_SEED must be an integer, got 'abc'\n"
+
     def test_generated_parse_and_transform(self, tmp_path, capsys):
         for seed in range(10):
             out = str(tmp_path / f"g{seed}.fqbf")
@@ -245,3 +252,10 @@ class TestBenchCommand:
                     "--budget", "50"]) == 0
         out = capsys.readouterr().out
         assert "BUDGET" in out
+
+    def test_nothing_to_measure_is_an_input_error(self, capsys):
+        assert run(["bench", "--max-k", "0", "--corpus", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: nothing to measure")
+        assert captured.err.count("\n") == 1

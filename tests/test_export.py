@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 
@@ -23,12 +24,12 @@ from qprenex.export import (
     to_qcir,
     to_qdimacs,
 )
-from qprenex.generate import random_formula
-from qprenex.parser import parse, parse_formula
+from qprenex.generate import nested_iff_family, random_formula, random_problem
+from qprenex.parser import Problem, format_problem, parse, parse_formula
 from qprenex.semantics import Valuation, equivalent, evaluate
 from qprenex.transform import prenex
 
-from helpers import worked_example
+from helpers import cli_outputs, worked_example
 
 
 class TestPrenexText:
@@ -286,3 +287,24 @@ class TestManifest:
         to_qcir(parse_formula("exists x . x & ~x"), manifest=manifest)
         by_role = {e.role for e in manifest.entries}
         assert by_role == {"source", "tseytin"}
+
+
+def test_pipeline_leaves_no_cyclic_garbage():
+    # Recursive closures that keep a cell pointing at themselves would hold
+    # their frame's tables until a collector pass; the pipeline must free
+    # everything by reference counting alone.
+    rng = random.Random(31)
+    sources = [format_problem(random_problem(rng, max_size=120)) for _ in range(20)]
+    sources.append(format_problem(Problem((), nested_iff_family(6), OperatorTable())))
+    gc.collect()
+    gc.disable()
+    try:
+        for source in sources:
+            problem = parse(source)
+            for mode in ("sat", "valid", "mc"):
+                for fmt in ("fqbf", "qcir", "qdimacs"):
+                    cli_outputs(problem, mode, fmt)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0

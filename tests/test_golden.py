@@ -19,18 +19,11 @@ import random
 import sys
 from pathlib import Path
 
-from qprenex.core import FreshGen, Kind, OperatorTable
-from qprenex.export import (
-    Manifest,
-    NotPrenex,
-    lower_operators,
-    manifest_for_text_export,
-    to_qcir,
-    to_qdimacs,
-)
+from qprenex.core import OperatorTable
 from qprenex.generate import nested_iff_family, random_problem
-from qprenex.parser import Problem, format_problem
-from qprenex.transform import prenex, prenex_mc
+from qprenex.parser import Problem
+
+from helpers import cli_outputs
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 MODES = ("sat", "valid", "mc")
@@ -50,34 +43,6 @@ def golden_corpora() -> dict[str, list[Problem]]:
     return {"nested_iff": nested, "random200": seeded}
 
 
-def export(problem: Problem, mode: str, fmt: str) -> tuple[str, str]:
-    """The formula file and ``.map`` text the CLI writes for one input."""
-    source = format_problem(problem) + "\n"
-    formula = problem.formula
-    gen = FreshGen.for_formula(formula)
-    if mode == "mc":
-        result = prenex_mc(formula, gen)
-    else:
-        result = prenex(Kind.EXISTS if mode == "sat" else Kind.FORALL, formula, gen)
-    manifest = Manifest(mode=mode, digest=hashlib.sha256(source.encode()).hexdigest())
-    try:
-        if fmt == "fqbf":
-            manifest_for_text_export(result, manifest)
-            text = format_problem(Problem(problem.declarations, result, problem.table))
-        else:
-            lowered = lower_operators(result, problem.table)
-            if fmt == "qcir":
-                text = to_qcir(lowered, problem.table, manifest)
-            else:
-                qmode = "valid" if mode == "valid" else "sat"
-                text = to_qdimacs(lowered, problem.table, mode=qmode, manifest=manifest)
-    except NotPrenex:
-        return "NotPrenex\n", "NotPrenex\n"
-    if not text.endswith("\n"):
-        text += "\n"
-    return text, manifest.render()
-
-
 def compute_digests() -> dict[str, str]:
     digests: dict[str, str] = {}
     for corpus, problems in golden_corpora().items():
@@ -86,7 +51,7 @@ def compute_digests() -> dict[str, str]:
                 text_hash = hashlib.sha256()
                 map_hash = hashlib.sha256()
                 for problem in problems:
-                    text, sidecar = export(problem, mode, fmt)
+                    text, sidecar = cli_outputs(problem, mode, fmt)
                     text_hash.update(text.encode() + b"\0")
                     map_hash.update(sidecar.encode() + b"\0")
                 digests[f"{corpus}/{mode}/{fmt}/text"] = text_hash.hexdigest()

@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from qprenex.core import (
     App,
+    CaptureError,
     FreshGen,
     Kind,
     Quant,
@@ -22,7 +24,7 @@ from qprenex.core import (
     vars_of,
     xor,
 )
-from qprenex.generate import random_formula
+from qprenex.generate import nested_iff_family, random_formula
 from qprenex.parser import parse_formula
 from qprenex.semantics import equisatisfiable, equivalent
 from qprenex.transform import (
@@ -35,7 +37,14 @@ from qprenex.transform import (
     step_transform,
 )
 
-from helpers import oracle_problem, small_formula, worked_example, xor_block_input
+from helpers import (
+    layered_prenex_mc,
+    layered_prenex_tracked,
+    oracle_problem,
+    small_formula,
+    worked_example,
+    xor_block_input,
+)
 
 
 class TestDecompose:
@@ -350,6 +359,90 @@ class TestPrenex:
         assert is_prenex(result)
         assert qdepth(result) == 1
         assert equisatisfiable(phi, result)
+
+
+def _same_as_layered(phi, start=None):
+    """The single pass and the layered reference agree on output and indices,
+    or both report the same capture."""
+    def outcome(transform, *args):
+        gen = FreshGen(start) if start is not None else FreshGen.for_formula(phi)
+        try:
+            return transform(*args, gen), gen.allocate()
+        except CaptureError as err:
+            return "capture", str(err)
+
+    for kind in (Kind.EXISTS, Kind.FORALL):
+        assert outcome(prenex_tracked, kind, phi) == outcome(
+            layered_prenex_tracked, kind, phi
+        )
+    assert outcome(prenex_mc, phi) == outcome(layered_prenex_mc, phi)
+
+
+def _quantifier_chain(depth: int):
+    """``depth`` nested blocks of alternating kind over three shadowed names."""
+    phi = Var("z")
+    for i in range(depth):
+        kind = Kind.EXISTS if i % 2 else Kind.FORALL
+        phi = Quant(kind, (f"x{i % 3}",), xor(Var(f"x{(i + 1) % 3}"), phi))
+    return phi
+
+
+@pytest.fixture
+def default_recursion_limit():
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(previous)
+
+
+class TestSinglePass:
+    """``prenex_tracked`` against the reference that iterates step_transform."""
+
+    def test_matches_layered_on_acceptance_corpus(self):
+        rng = random.Random(20240)
+        for _ in range(10_000):
+            _same_as_layered(oracle_problem(rng, limit=16).formula)
+
+    def test_matches_layered_on_nested_iff_family(self):
+        for k in range(1, 13):
+            _same_as_layered(nested_iff_family(k))
+
+    def test_matches_layered_with_shadowing_and_explicit_start(self):
+        _same_as_layered(_quantifier_chain(12), start=7)
+        _same_as_layered(Quant(Kind.EXISTS, (), Var("p")))
+        _same_as_layered(worked_example(), start=1)
+        _same_as_layered(parse_formula("@a4 & (forall x@p2 . x@p2 | (exists y . y))",
+                                       allow_internal_names=True))
+
+    def test_capture_through_colliding_generator_is_reported(self):
+        phi = parse_formula("forall y . exists y@p1 . y xor y@p1", allow_internal_names=True)
+        with pytest.raises(CaptureError):
+            prenex_tracked(Kind.EXISTS, phi, FreshGen(1))
+
+    def test_matches_layered_on_generated_names(self):
+        # Inputs that mention generated names, transformed with generators
+        # whose indices may collide with them.
+        rng = random.Random(5)
+        pool = ("a", "b", "a@p1", "a@p2", "b@p1", "b@p3", "a@n1", "@a2")
+        for _ in range(3000):
+            phi = random_formula(rng, pool=pool, max_size=rng.randint(3, 30))
+            _same_as_layered(phi, start=rng.randint(1, 4))
+            _same_as_layered(phi)
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    @pytest.mark.parametrize(
+        "phi",
+        [_quantifier_chain(10_000), nested_iff_family(10_000)],
+        ids=["quantifier_chain_10k", "nested_iff_10k"],
+    )
+    def test_deep_inputs_at_default_recursion_limit(self, phi):
+        for kind in (Kind.EXISTS, Kind.FORALL):
+            result = prenex(kind, phi, FreshGen.for_formula(phi))
+            assert is_prenex(result)
+            assert qdepth(result) == qdepth(phi) == 10_000
+            assert length(result) <= 9 * length(phi)
 
 
 class TestPrenexMc:

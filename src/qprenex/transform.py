@@ -276,8 +276,9 @@ def _check_capture(f: Quant, env: dict[str, Var]) -> None:
         if info is None or info.role != ROLE_POS or info.origin in f.block:
             continue
         current = env.get(info.origin)
-        if current is not None and current.name == y and info.origin in free_vars(f.body):
-            raise CaptureError(info.origin, y, f.block)
+        if current is not None and current.name == y:
+            if info.origin in free_vars(f.body):
+                raise CaptureError(info.origin, y, f.block)
 
 
 _ENTER, _LEAVE_APP, _LEAVE_QUANT = range(3)

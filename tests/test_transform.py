@@ -417,7 +417,9 @@ class TestSinglePass:
                                        allow_internal_names=True))
 
     def test_capture_through_colliding_generator_is_reported(self):
-        phi = parse_formula("forall y . exists y@p1 . y xor y@p1", allow_internal_names=True)
+        phi = parse_formula(
+            "forall y . exists y@p1 . y xor y@p1", allow_internal_names=True
+        )
         with pytest.raises(CaptureError):
             prenex_tracked(Kind.EXISTS, phi, FreshGen(1))
 
@@ -433,11 +435,12 @@ class TestSinglePass:
 
     @pytest.mark.usefixtures("default_recursion_limit")
     @pytest.mark.parametrize(
-        "phi",
-        [_quantifier_chain(10_000), nested_iff_family(10_000)],
+        "build",
+        [_quantifier_chain, nested_iff_family],
         ids=["quantifier_chain_10k", "nested_iff_10k"],
     )
-    def test_deep_inputs_at_default_recursion_limit(self, phi):
+    def test_deep_inputs_at_default_recursion_limit(self, build):
+        phi = build(10_000)
         for kind in (Kind.EXISTS, Kind.FORALL):
             result = prenex(kind, phi, FreshGen.for_formula(phi))
             assert is_prenex(result)

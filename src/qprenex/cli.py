@@ -1,8 +1,9 @@
 """Command-line front end: parse -> transform -> verify -> export.
 
 Exit codes: 0 success (``check`` printed PASS), 1 input/parse error,
-2 internal invariant violation (size bound exceeded or ``check`` FAIL),
-3 oracle refusal (the query exceeds the free-variable cap).
+2 internal invariant violation (size bound exceeded or ``check`` FAIL) or
+fault (recursion or memory exhausted), 3 oracle refusal (the query exceeds
+the free-variable cap).
 """
 
 from __future__ import annotations
@@ -345,6 +346,10 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except (RecursionError, MemoryError) as err:
+        detail = str(err) or "out of memory"
+        print(f"error: {type(err).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

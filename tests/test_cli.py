@@ -1,3 +1,5 @@
+import pytest
+
 from qprenex import cli
 from qprenex.core import free_vars, qdepth
 from qprenex.parser import parse, parse_formula
@@ -169,6 +171,29 @@ class TestCheckCommand:
     def test_oracle_cap_flag(self, tmp_path):
         src = write(tmp_path, "in.fqbf", "a | b | c")
         assert run(["check", src, "--oracle-cap", "2"]) == 3
+
+
+@pytest.mark.parametrize("command", ["prenex", "check"])
+def test_recursion_fault_is_one_line_with_exit_2(tmp_path, capsys, command):
+    # The mc decomposition still recurses once per nesting level, so this
+    # chain exhausts the recursion limit; the CLI reports it as a fault.
+    chain = " -> ".join(f"p{i}" for i in range(12_000)) + " -> (exists x . x)"
+    src = write(tmp_path, "in.fqbf", chain)
+    out = ["--out", str(tmp_path / "out.fqbf")] if command == "prenex" else []
+    assert run([command, src, "--mode", "mc", *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: RecursionError: maximum recursion depth")
+    assert captured.err.count("\n") == 1
+
+
+def test_memory_fault_is_one_line_with_exit_2(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_gen", exhausted)
+    assert run(["gen"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError: out of memory\n"
 
 
 class TestGenCommand:

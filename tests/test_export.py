@@ -26,10 +26,18 @@ from qprenex.export import (
 )
 from qprenex.generate import nested_iff_family, random_formula, random_problem
 from qprenex.parser import Problem, format_problem, parse, parse_formula
-from qprenex.semantics import Valuation, equivalent, evaluate
-from qprenex.transform import prenex
+from qprenex.semantics import (
+    W,
+    Valuation,
+    equivalent,
+    evaluate,
+    find_disagreement,
+    satisfiable,
+    valid,
+)
+from qprenex.transform import prenex, prenex_mc
 
-from helpers import cli_outputs, worked_example
+from helpers import cli_outputs, oracle_problem, worked_example
 
 
 class TestPrenexText:
@@ -296,6 +304,13 @@ def test_pipeline_leaves_no_cyclic_garbage():
     rng = random.Random(31)
     sources = [format_problem(random_problem(rng, max_size=120)) for _ in range(20)]
     sources.append(format_problem(Problem((), nested_iff_family(6), OperatorTable())))
+    # The oracle calls of `check` on truth tables, and on the enumeration
+    # that a block of more than W names falls back to.
+    small = [oracle_problem(rng, limit=10) for _ in range(10)]
+    wide = parse(
+        "exists " + " ".join(f"x{i:02}" for i in range(W + 1))
+        + f" . (x{W:02} <-> y) & (x{W - 1:02} xor z)"
+    )
     gc.collect()
     gc.disable()
     try:
@@ -304,6 +319,14 @@ def test_pipeline_leaves_no_cyclic_garbage():
             for mode in ("sat", "valid", "mc"):
                 for fmt in ("fqbf", "qcir", "qdimacs"):
                     cli_outputs(problem, mode, fmt)
+        for phi, table in [(p.formula, p.table) for p in small] + [
+            (wide.formula, wide.table)
+        ]:
+            parts = prenex_mc(phi, FreshGen.for_formula(phi))
+            satisfiable(phi, table)
+            valid(phi, table)
+            find_disagreement(phi, parts, table)
+            evaluate(Valuation({"y": 1}), phi, table)
         garbage = gc.collect()
     finally:
         gc.enable()

@@ -13,9 +13,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 RESERVED_CHAR = "@"
+
+T = TypeVar("T")
 
 
 class Kind(Enum):
@@ -111,10 +113,6 @@ class OperatorTable:
     def __init__(self) -> None:
         self._entries: dict[str, tuple[int, tuple[int, ...]]] = dict(BUILTIN_OPERATORS)
 
-    @classmethod
-    def default(cls) -> "OperatorTable":
-        return cls()
-
     def add(self, name: str, arity: int, bits: Iterable[int]) -> None:
         if name in self._entries:
             raise ValueError(f"operator '{name}' is already defined")
@@ -160,25 +158,7 @@ class OperatorTable:
             raise KeyError(f"unknown operator '{name}'") from None
 
 
-DEFAULT_TABLE = OperatorTable.default()
-
-
-def check_formula(phi: Formula, table: OperatorTable) -> None:
-    """Check that every operator in ``phi`` exists in ``table`` with matching arity."""
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, App):
-            if not table.has(f.op):
-                raise KeyError(f"unknown operator '{f.op}'")
-            if table.arity(f.op) != len(f.args):
-                raise ValueError(
-                    f"operator '{f.op}' expects {table.arity(f.op)} arguments, "
-                    f"got {len(f.args)}"
-                )
-            stack.extend(f.args)
-        elif isinstance(f, Quant):
-            stack.append(f.body)
+DEFAULT_TABLE = OperatorTable()
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +211,58 @@ def big_conj(items: Iterable[Formula]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Metrics
+# Traversal
 #
-# All metric walks are iterative: transformed and especially naively prenexed
-# formulas can contain quantifier chains far deeper than the recursion limit.
+# No walk over a formula recurses: transformed and especially naively
+# prenexed formulas can nest far deeper than the recursion limit.  Every
+# rewrite is a node rule passed to the one explicit-stack loop in :func:`fold`
+# (a catamorphism: Meijer, Fokkinga & Paterson, FPCA 1991); the metrics below,
+# which only accumulate, are plain stack loops of their own.
+
+_LEAVE = object()  # stack marker: the node below it has all its kids' values
+
+
+def fold(
+    phi: Formula,
+    leave: Callable[[Formula, list], T],
+    enter: Callable[[Quant], bool] | None = None,
+) -> T:
+    """Post-order fold of ``phi`` over an explicit stack.
+
+    ``leave(f, kids)`` builds the value of node ``f`` from its children's
+    values, in order: the arguments of an application, or ``[body]`` for a
+    quantifier.  ``enter(q)`` runs before a quantifier's body; when it
+    returns false, the quantifier is a leaf.  Leaves (variables, nullary
+    applications and such quantifiers) get ``kids == ()``.  Nodes are entered
+    and left depth-first, left to right, so the callbacks may keep context on
+    a stack of their own, pushed in ``enter`` and popped in ``leave``.
+    """
+    values: list = []
+    stack: list = [phi]
+    push, pop, put = stack.append, stack.pop, values.append
+    while stack:
+        f = pop()
+        if f is _LEAVE:
+            f = pop()
+            n = len(f.args) if isinstance(f, App) else 1
+            kids = values[-n:]
+            del values[-n:]
+            put(leave(f, kids))
+        elif isinstance(f, App) and f.args:
+            push(f)
+            push(_LEAVE)
+            stack.extend(reversed(f.args))
+        elif isinstance(f, Quant) and (enter is None or enter(f)):
+            push(f)
+            push(_LEAVE)
+            push(f.body)
+        else:
+            put(leave(f, ()))
+    return values[0]
+
+
+# ---------------------------------------------------------------------------
+# Metrics
 
 
 def length(phi: Formula) -> int:
@@ -321,16 +349,26 @@ def vars_of(phi: Formula) -> frozenset[str]:
 def free_vars(phi: Formula) -> frozenset[str]:
     """Variables with at least one occurrence not under a block binding them."""
     free: set[str] = set()
-    stack: list[tuple[Formula, frozenset[str]]] = [(phi, frozenset())]
+    bound: dict[str, int] = {}  # name -> number of enclosing blocks binding it
+    stack: list = [phi]
     while stack:
-        f, bound = stack.pop()
+        f = stack.pop()
         if isinstance(f, Var):
             if f.name not in bound:
                 free.add(f.name)
         elif isinstance(f, App):
-            stack.extend((a, bound) for a in f.args)
+            stack.extend(f.args)
+        elif isinstance(f, Quant):
+            for x in f.block:
+                bound[x] = bound.get(x, 0) + 1
+            stack.append(f.block)  # popped once the body is done
+            stack.append(f.body)
         else:
-            stack.append((f.body, bound | set(f.block)))
+            for x in f:
+                if bound[x] == 1:
+                    del bound[x]
+                else:
+                    bound[x] -= 1
     return frozenset(free)
 
 
@@ -393,16 +431,11 @@ def substitute(phi: Formula, sigma: Substitution) -> Formula:
     if not sigma:
         return phi
     replacement_fvs = {p: free_vars(rep) for p, rep in sigma.items()}
+    lives: list[dict[str, Formula]] = [dict(sigma)]  # innermost last
 
-    def go(f: Formula, sig: Substitution) -> Formula:
-        if isinstance(f, Var):
-            return sig.get(f.name, f)
-        if isinstance(f, App):
-            return App(f.op, tuple(go(a, sig) for a in f.args))
+    def enter(f: Quant) -> bool:
         blockset = set(f.block)
-        live = {p: rep for p, rep in sig.items() if p not in blockset}
-        if not live:
-            return f
+        live = {p: rep for p, rep in lives[-1].items() if p not in blockset}
         risky = [p for p in live if replacement_fvs[p] & blockset]
         if risky:
             body_free = free_vars(f.body)
@@ -411,14 +444,22 @@ def substitute(phi: Formula, sigma: Substitution) -> Formula:
                     captured = sorted(replacement_fvs[p] & blockset)[0]
                     raise CaptureError(p, captured, f.block)
                 del live[p]
-            if not live:
-                return f
-        return Quant(f.kind, f.block, go(f.body, live))
+        if not live:
+            return False
+        lives.append(live)
+        return True
 
-    try:
-        return go(phi, dict(sigma))
-    finally:
-        del go  # break the closure's reference cycle so its frame is freed
+    def leave(f: Formula, kids: list) -> Formula:
+        if isinstance(f, Var):
+            return lives[-1].get(f.name, f)
+        if isinstance(f, App):
+            return App(f.op, tuple(kids))
+        if not kids:
+            return f
+        lives.pop()
+        return Quant(f.kind, f.block, kids[0])
+
+    return fold(phi, leave, enter)
 
 
 def is_free_for(phi: Formula, key: str, replacement: Formula) -> bool:
@@ -430,13 +471,73 @@ def is_free_for(phi: Formula, key: str, replacement: Formula) -> bool:
     return True
 
 
-def rename_free(phi: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Rename free variable occurrences; renaming targets must be fresh."""
-    return substitute(phi, {old: Var(new) for old, new in mapping.items()})
-
-
 # ---------------------------------------------------------------------------
 # Constant folding
+
+
+def _negated(a: Formula) -> Formula:
+    if a == TRUE:
+        return FALSE
+    if a == FALSE:
+        return TRUE
+    return App("not", (a,))
+
+
+def fold_app(
+    op: str, args: tuple[Formula, ...], table: OperatorTable = DEFAULT_TABLE
+) -> Formula:
+    """Constant-fold one application of ``op`` to already folded ``args``.
+
+    ``true``/``false`` propagate through the built-in connectives; any other
+    operator of ``table`` folds only when all its arguments are constant.
+    """
+    if op == "not":
+        return _negated(args[0])
+    if op in ("and", "or", "imp", "iff", "xor"):
+        a, b = args
+        if op == "and":
+            if a == FALSE or b == FALSE:
+                return FALSE
+            if a == TRUE:
+                return b
+            if b == TRUE:
+                return a
+        elif op == "or":
+            if a == TRUE or b == TRUE:
+                return TRUE
+            if a == FALSE:
+                return b
+            if b == FALSE:
+                return a
+        elif op == "imp":
+            if a == FALSE or b == TRUE:
+                return TRUE
+            if a == TRUE:
+                return b
+            if b == FALSE:
+                return _negated(a)
+        elif op == "iff":
+            if a == TRUE:
+                return b
+            if b == TRUE:
+                return a
+            if a == FALSE:
+                return _negated(b)
+            if b == FALSE:
+                return _negated(a)
+        else:  # xor
+            if a == FALSE:
+                return b
+            if b == FALSE:
+                return a
+            if a == TRUE:
+                return _negated(b)
+            if b == TRUE:
+                return _negated(a)
+    elif table.has(op) and all(x in (TRUE, FALSE) for x in args):
+        value = table.apply(op, [1 if x == TRUE else 0 for x in args])
+        return TRUE if value else FALSE
+    return App(op, args)
 
 
 def fold_constants(phi: Formula, table: OperatorTable | None = None) -> Formula:
@@ -447,76 +548,14 @@ def fold_constants(phi: Formula, table: OperatorTable | None = None) -> Formula:
     """
     table = table or DEFAULT_TABLE
 
-    def negated(a: Formula) -> Formula:
-        # a is already folded here
-        if a == TRUE:
-            return FALSE
-        if a == FALSE:
-            return TRUE
-        return App("not", (a,))
-
-    def go(f: Formula) -> Formula:
-        if isinstance(f, Var):
-            return f
+    def leave(f: Formula, kids: list) -> Formula:
+        if isinstance(f, App):
+            return fold_app(f.op, tuple(kids), table)
         if isinstance(f, Quant):
-            return Quant(f.kind, f.block, go(f.body))
-        args = tuple(go(a) for a in f.args)
-        op = f.op
-        if op == "not":
-            return negated(args[0])
-        if op in ("true", "false"):
-            return f
-        if op in ("and", "or", "imp", "iff", "xor"):
-            a, b = args
-            if op == "and":
-                if a == FALSE or b == FALSE:
-                    return FALSE
-                if a == TRUE:
-                    return b
-                if b == TRUE:
-                    return a
-            elif op == "or":
-                if a == TRUE or b == TRUE:
-                    return TRUE
-                if a == FALSE:
-                    return b
-                if b == FALSE:
-                    return a
-            elif op == "imp":
-                if a == FALSE or b == TRUE:
-                    return TRUE
-                if a == TRUE:
-                    return b
-                if b == FALSE:
-                    return negated(a)
-            elif op == "iff":
-                if a == TRUE:
-                    return b
-                if b == TRUE:
-                    return a
-                if a == FALSE:
-                    return negated(b)
-                if b == FALSE:
-                    return negated(a)
-            else:  # xor
-                if a == FALSE:
-                    return b
-                if b == FALSE:
-                    return a
-                if a == TRUE:
-                    return negated(b)
-                if b == TRUE:
-                    return negated(a)
-            return App(op, args)
-        if table.has(op) and all(x in (TRUE, FALSE) for x in args):
-            value = table.apply(op, [1 if x == TRUE else 0 for x in args])
-            return TRUE if value else FALSE
-        return App(op, args)
+            return Quant(f.kind, f.block, kids[0])
+        return f
 
-    try:
-        return go(phi)
-    finally:
-        del go, negated  # break the closures' reference cycle
+    return fold(phi, leave)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import __version__
 from .core import (
     App,
     DEFAULT_TABLE,
@@ -28,6 +29,7 @@ from .core import (
     TRUE,
     Var,
     classify_name,
+    fold,
     fold_constants,
     free_vars,
     is_prenex,
@@ -36,8 +38,6 @@ from .core import (
     vars_of,
 )
 from .parser import format_formula
-
-TOOL_VERSION = "0.1.0"
 
 #: Operators the QCIR/QDIMACS writers encode natively.
 CORE_EXPORT_OPS = frozenset(
@@ -70,7 +70,7 @@ class Manifest:
     """Provenance table for one export: variable origins plus run metadata."""
 
     mode: str = "sat"
-    version: str = TOOL_VERSION
+    version: str = __version__
     digest: str = ""
     entries: list[ManifestEntry] = field(default_factory=list)
 
@@ -101,12 +101,12 @@ def lower_operators(phi: Formula, table: OperatorTable | None = None) -> Formula
     """Replace user truth-table operators by their minterm expansions."""
     table = table or DEFAULT_TABLE
 
-    def go(f: Formula) -> Formula:
+    def leave(f: Formula, kids: list) -> Formula:
         if isinstance(f, Var):
             return f
         if isinstance(f, Quant):
-            return Quant(f.kind, f.block, go(f.body))
-        args = tuple(go(a) for a in f.args)
+            return Quant(f.kind, f.block, kids[0])
+        args = tuple(kids)
         if f.op in CORE_EXPORT_OPS:
             return App(f.op, args)
         bits = table.truth_table(f.op)
@@ -130,10 +130,7 @@ def lower_operators(phi: Formula, table: OperatorTable | None = None) -> Formula
             expansion = App("or", (expansion, term))
         return expansion
 
-    try:
-        return go(phi)
-    finally:
-        del go  # break the closure's reference cycle so its frame is freed
+    return fold(phi, leave)
 
 
 def to_prenex_text(phi: Formula) -> str:
@@ -145,12 +142,12 @@ def to_prenex_text(phi: Formula) -> str:
 
 def _numbered_variables(
     phi: Formula, manifest: Manifest | None
-) -> tuple[dict[str, int], list[tuple[Kind, list[int]]], Formula, int]:
+) -> tuple[dict[str, int], list[int], list[tuple[Kind, list[int]]], Formula, int]:
     """Assign integers to free then prefix variables, one per occurrence.
 
     A rebound name keeps its innermost id in the lookup table, which is the
-    binding the matrix sees; returns lookup, numbered blocks, matrix, and the
-    highest id handed out.
+    binding the matrix sees; returns lookup, free ids, numbered blocks,
+    matrix, and the highest id handed out.
     """
     blocks, matrix = prefix_blocks(phi)
     bound = {x for _, names in blocks for x in names}
@@ -165,12 +162,11 @@ def _numbered_variables(
             manifest.record_name(str(top), name)
         return top
 
-    for name in sorted(free_vars(phi) - bound):
-        assign(name)
+    free = [assign(name) for name in sorted(free_vars(phi) - bound)]
     numbered = [
         (kind, [assign(x) for x in names]) for kind, names in blocks if names
     ]
-    return ids, numbered, matrix, top
+    return ids, free, numbered, matrix, top
 
 
 def to_qcir(
@@ -181,8 +177,7 @@ def to_qcir(
     """Cleansed prenex QCIR-G14 text."""
     if not is_prenex(phi):
         raise NotPrenex("QCIR export needs a prenex formula")
-    ids, blocks, matrix, counter = _numbered_variables(phi, manifest)
-    declared = counter
+    ids, free, blocks, matrix, counter = _numbered_variables(phi, manifest)
     gates: list[str] = []
 
     def new_gate(definition: str) -> int:
@@ -193,35 +188,28 @@ def to_qcir(
             manifest.record_tseytin(str(counter))
         return counter
 
-    def encode(f: Formula) -> int:
+    def leave(f: Formula, lits: list) -> int:
         if isinstance(f, Var):
             return ids[f.name]
-        if isinstance(f, Quant):
-            raise NotPrenex("quantifier inside the matrix")
         op = f.op
         if op == "not":
-            return -encode(f.args[0])
+            return -lits[0]
         if op == "true":
             return new_gate("and()")
         if op == "false":
             return new_gate("or()")
         if op in ("and", "or", "xor"):
-            lits = [encode(a) for a in f.args]
             return new_gate(f"{op}({', '.join(str(x) for x in lits)})")
         if op == "imp":
-            a, b = (encode(x) for x in f.args)
+            a, b = lits
             return new_gate(f"or({-a}, {b})")
         if op == "iff":
-            a, b = (encode(x) for x in f.args)
+            a, b = lits
             return new_gate(f"ite({a}, {b}, {-b})")
         raise UnloweredOperator(op)
 
-    try:
-        output = encode(matrix)
-    finally:
-        del encode, new_gate  # break the closures' reference cycle
+    output = fold(matrix, leave)
     lines = [f"#QCIR-G14 {counter}"]
-    free = [i for i in range(1, declared + 1) if all(i not in b for _, b in blocks)]
     if free:
         lines.append(f"free({', '.join(str(i) for i in free)})")
     for kind, block_ids in blocks:
@@ -260,8 +248,7 @@ def to_qdimacs(
         raise ValueError(f"unsupported mode '{mode}'")
     if not is_prenex(phi):
         raise NotPrenex("QDIMACS export needs a prenex formula")
-    ids, blocks, matrix, counter = _numbered_variables(phi, manifest)
-    free = [i for i in range(1, counter + 1) if all(i not in b for _, b in blocks)]
+    ids, free, blocks, matrix, counter = _numbered_variables(phi, manifest)
     if free:
         outer = Kind.EXISTS if mode == "sat" else Kind.FORALL
         blocks = [(outer, free)] + blocks
@@ -278,15 +265,13 @@ def to_qdimacs(
             manifest.record_tseytin(str(counter))
         return counter
 
-    def encode(f: Formula) -> int:
+    def leave(f: Formula, lits: list) -> int:
         if isinstance(f, Var):
             return ids[f.name]
-        if isinstance(f, Quant):
-            raise NotPrenex("quantifier inside the matrix")
         if f.op == "not":
-            return -encode(f.args[0])
+            return -lits[0]
         if f.op in _GATE_CLAUSES:
-            a, b = (encode(x) for x in f.args)
+            a, b = lits
             g = new_gate()
             values = {1: g, 2: a, 3: b}
             for schema in _GATE_CLAUSES[f.op]:
@@ -294,20 +279,13 @@ def to_qdimacs(
                     [values[abs(v)] if v > 0 else -values[abs(v)] for v in schema]
                 )
             return g
-        if f.op in ("true", "false"):
-            # Constants survive folding only as the whole matrix.
-            raise UnloweredOperator(f.op)
+        # Constants survive folding only as the whole matrix.
         raise UnloweredOperator(f.op)
 
-    try:
-        if matrix == TRUE:
-            pass
-        elif matrix == FALSE:
-            clauses.append([])
-        else:
-            clauses.append([encode(matrix)])
-    finally:
-        del encode, new_gate  # break the closures' reference cycle
+    if matrix == FALSE:
+        clauses.append([])
+    elif matrix != TRUE:
+        clauses.append([fold(matrix, leave)])
 
     if definitions:
         blocks = blocks + [(Kind.EXISTS, definitions)]

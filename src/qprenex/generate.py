@@ -100,7 +100,7 @@ def random_problem(
     with_user_op: bool = True,
 ) -> Problem:
     """Random problem; by default declares a majority operator and may use it."""
-    table = OperatorTable.default()
+    table = OperatorTable()
     decls: tuple[OpDecl, ...] = ()
     if monotone:
         ops: tuple[tuple[str, int, float], ...] = MONOTONE_OPS

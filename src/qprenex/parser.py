@@ -80,19 +80,6 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[ \t\r\n]+)
   | (?P<comment>\#[^\n]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<iffsym><->)
-  | (?P<impsym>->)
-  | (?P<punct>[().,;:/~&|])
-    """,
-    re.VERBOSE,
-)
-
-_TOKEN_RE_INTERNAL = re.compile(
-    r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
   | (?P<name>[A-Za-z_@][A-Za-z0-9_@]*)
   | (?P<int>\d+)
   | (?P<iffsym><->)
@@ -112,23 +99,14 @@ class _Token:
 
 
 def _tokenize(text: str, allow_internal_names: bool) -> Iterator[_Token]:
-    pattern = _TOKEN_RE_INTERNAL if allow_internal_names else _TOKEN_RE
     pos = 0
     line = 1
     line_start = 0
     while pos < len(text):
-        m = pattern.match(text, pos)
+        m = _TOKEN_RE.match(text, pos)
         if m is None:
             col = pos - line_start + 1
-            ch = text[pos]
-            if ch == RESERVED_CHAR:
-                raise ParseError(
-                    "reserved character '@' in identifier "
-                    "(generated names need allow_internal_names)",
-                    line,
-                    col,
-                )
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         tok_text = m.group()
         col = pos - line_start + 1
@@ -140,12 +118,17 @@ def _tokenize(text: str, allow_internal_names: bool) -> Iterator[_Token]:
                 line_start = pos - (len(tok_text) - tok_text.rfind("\n") - 1)
             continue
         if kind == "name":
+            if RESERVED_CHAR in tok_text and not allow_internal_names:
+                raise ParseError(
+                    "reserved character '@' in identifier "
+                    "(generated names need allow_internal_names)",
+                    line,
+                    col + tok_text.index(RESERVED_CHAR),
+                )
             ttype = "keyword" if tok_text in KEYWORDS else "name"
         elif kind == "int":
             ttype = "int"
-        elif kind in ("iffsym", "impsym"):
-            ttype = tok_text
-        else:
+        else:  # operators and punctuation are their own type
             ttype = tok_text
         yield _Token(ttype, tok_text, line, col)
     yield _Token("eof", "", line, len(text) - line_start + 1)
@@ -332,7 +315,7 @@ class _Parser:
 
 def parse(text: str, *, allow_internal_names: bool = False) -> Problem:
     """Parse a problem (operator declarations followed by one formula)."""
-    return _Parser(text, OperatorTable.default(), allow_internal_names).parse_problem()
+    return _Parser(text, OperatorTable(), allow_internal_names).parse_problem()
 
 
 def parse_formula(
@@ -342,7 +325,7 @@ def parse_formula(
     allow_internal_names: bool = False,
 ) -> Formula:
     """Parse a bare formula against an existing operator table."""
-    parser = _Parser(text, table or OperatorTable.default(), allow_internal_names)
+    parser = _Parser(text, table or OperatorTable(), allow_internal_names)
     formula = parser.parse_formula()
     parser._expect("eof", "end of input")
     return formula
@@ -362,12 +345,14 @@ _LEVEL_AND = 5
 _LEVEL_NEG = 6
 _LEVEL_ATOM = 7
 
+# op -> (spaced symbol, level, minimum levels of the left and right argument);
+# ``->`` is right-associative, the others left-associative.
 _INFIX = {
-    "iff": ("<->", _LEVEL_IFF, "left"),
-    "imp": ("->", _LEVEL_IMP, "right"),
-    "xor": ("xor", _LEVEL_XOR, "left"),
-    "or": ("|", _LEVEL_OR, "left"),
-    "and": ("&", _LEVEL_AND, "left"),
+    "iff": (" <-> ", _LEVEL_IFF, _LEVEL_IFF, _LEVEL_IFF + 1),
+    "imp": (" -> ", _LEVEL_IMP, _LEVEL_IMP + 1, _LEVEL_IMP),
+    "xor": (" xor ", _LEVEL_XOR, _LEVEL_XOR, _LEVEL_XOR + 1),
+    "or": (" | ", _LEVEL_OR, _LEVEL_OR, _LEVEL_OR + 1),
+    "and": (" & ", _LEVEL_AND, _LEVEL_AND, _LEVEL_AND + 1),
 }
 
 
@@ -377,33 +362,51 @@ def format_formula(phi: Formula) -> str:
     ``parse_formula(format_formula(phi))`` is structurally ``phi``.
     """
 
-    def emit(f: Formula, minimum: int) -> str:
-        if isinstance(f, Var):
-            return f.name
-        if isinstance(f, Quant):
+    # Pre-order emission: the stack holds pending (subformula, minimum level)
+    # pairs and literal text, so precedence flows top-down without recursion.
+    out: list[str] = []
+    stack: list = [(phi, _LEVEL_QUANT)]
+    emit, push, pop = out.append, stack.append, stack.pop
+    while stack:
+        item = pop()
+        if type(item) is str:
+            emit(item)
+            continue
+        f, minimum = item
+        if type(f) is Var:
+            emit(f.name)
+        elif type(f) is Quant:
             if not f.block:
                 # No surface syntax: empty blocks arise only programmatically.
                 raise ValueError("cannot print an empty quantifier block")
-            body = emit(f.body, _LEVEL_QUANT)
-            text = f"{f.kind.value} {' '.join(f.block)} . {body}"
-            return f"({text})" if minimum > _LEVEL_QUANT else text
-        if f.op in ("true", "false"):
-            return f.op
-        if f.op == "not":
-            return "~" + emit(f.args[0], _LEVEL_NEG)
-        if f.op in _INFIX and len(f.args) == 2:
-            symbol, level, assoc = _INFIX[f.op]
-            left = emit(f.args[0], level if assoc == "left" else level + 1)
-            right = emit(f.args[1], level + 1 if assoc == "left" else level)
-            text = f"{left} {symbol} {right}"
-            return f"({text})" if minimum > level else text
-        args = ", ".join(emit(a, _LEVEL_QUANT) for a in f.args)
-        return f"{f.op}({args})"
-
-    try:
-        return emit(phi, _LEVEL_QUANT)
-    finally:
-        del emit  # break the closure's reference cycle so its frame is freed
+            head = f"{f.kind.value} {' '.join(f.block)} . "
+            if minimum > _LEVEL_QUANT:
+                emit("(" + head)
+                push(")")
+            else:
+                emit(head)
+            push((f.body, _LEVEL_QUANT))
+        elif f.op in _INFIX and len(f.args) == 2:
+            symbol, level, left, right = _INFIX[f.op]
+            if minimum > level:
+                emit("(")
+                push(")")
+            push((f.args[1], right))
+            push(symbol)
+            push((f.args[0], left))
+        elif f.op == "not":
+            emit("~")
+            push((f.args[0], _LEVEL_NEG))
+        elif f.op in ("true", "false"):
+            emit(f.op)
+        else:
+            emit(f"{f.op}(")
+            push(")")
+            for i in reversed(range(len(f.args))):
+                push((f.args[i], _LEVEL_QUANT))
+                if i:
+                    push(", ")
+    return "".join(out)
 
 
 def format_problem(problem: Problem) -> str:

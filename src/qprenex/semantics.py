@@ -43,6 +43,7 @@ from .core import (
     Quant,
     TRUE,
     Var,
+    fold,
     free_vars,
     substitute,
 )
@@ -292,9 +293,6 @@ def _masks(width: int) -> tuple[int, tuple[int, ...]]:
     return full, tuple(masks)
 
 
-_ENTER, _LEAVE_APP, _LEAVE_QUANT = range(3)
-
-
 def _truth_tables(
     roots: Sequence[Formula],
     table: OperatorTable,
@@ -302,74 +300,66 @@ def _truth_tables(
     masks: tuple[int, ...],
     full: int,
 ) -> list[int]:
-    """Truth tables of ``roots`` in one iterative post-order walk.
+    """Truth tables of ``roots``, each in one :func:`fold`.
 
     ``env`` maps each free name to its table.  A block maps its names to the
     masks of the next free low positions for its body, then quantifies those
     positions away and restores what the names meant outside.  The result no
     longer depends on the positions, so sibling blocks reuse them.
     """
-    values: list[int] = []
+    # One frame per enclosing block: what its names meant outside it.
+    frames: list[list[tuple[str, int | None]]] = []
     depth = 0  # low positions taken by the enclosing blocks
-    stack: list[tuple] = [(_ENTER, f) for f in reversed(roots)]
-    while stack:
-        frame = stack.pop()
-        action, f = frame[0], frame[1]
-        if action == _ENTER:
-            if isinstance(f, Var):
-                values.append(env[f.name])
-            elif isinstance(f, App):
-                stack.append((_LEAVE_APP, f))
-                stack.extend((_ENTER, a) for a in reversed(f.args))
-            else:
-                stack.append((_LEAVE_QUANT, f, [(x, env.get(x)) for x in f.block]))
-                for x in f.block:
-                    env[x] = masks[depth]
-                    depth += 1
-                stack.append((_ENTER, f.body))
-        elif action == _LEAVE_APP:
+
+    def enter(f: Quant) -> bool:
+        nonlocal depth
+        frames.append([(x, env.get(x)) for x in f.block])
+        for x in f.block:
+            env[x] = masks[depth]
+            depth += 1
+        return True
+
+    def leave(f: Formula, kids: list) -> int:
+        nonlocal depth
+        if isinstance(f, Var):
+            return env[f.name]
+        if isinstance(f, App):
             op = f.op
             if op == "not":
-                values[-1] ^= full
-            elif op in ("and", "or", "imp", "iff", "xor"):
-                b = values.pop()
-                a = values[-1]
+                return full ^ kids[0]
+            if op in ("and", "or", "imp", "iff", "xor"):
+                a, b = kids
                 if op == "and":
-                    values[-1] = a & b
-                elif op == "or":
-                    values[-1] = a | b
-                elif op == "imp":
-                    values[-1] = (full ^ a) | b
-                elif op == "iff":
-                    values[-1] = full ^ a ^ b
-                else:
-                    values[-1] = a ^ b
-            elif op == "true":
-                values.append(full)
-            elif op == "false":
-                values.append(0)
+                    return a & b
+                if op == "or":
+                    return a | b
+                if op == "imp":
+                    return (full ^ a) | b
+                if op == "iff":
+                    return full ^ a ^ b
+                return a ^ b
+            if op == "true":
+                return full
+            if op == "false":
+                return 0
+            return _apply_user(table, op, kids, full)
+        t = kids[0]
+        exists = f.kind is Kind.EXISTS
+        for x, old in reversed(frames.pop()):
+            depth -= 1
+            shift = 1 << depth
+            mask = masks[depth]
+            high = (t & mask) >> shift
+            low = t & ~mask
+            t = high | low if exists else high & low
+            t |= t << shift
+            if old is None:
+                del env[x]
             else:
-                n = len(f.args)
-                args = values[len(values) - n:]
-                del values[len(values) - n:]
-                values.append(_apply_user(table, op, args, full))
-        else:
-            t = values.pop()
-            exists = f.kind is Kind.EXISTS
-            for x, old in reversed(frame[2]):
-                depth -= 1
-                shift = 1 << depth
-                mask = masks[depth]
-                high = (t & mask) >> shift
-                low = t & ~mask
-                t = high | low if exists else high & low
-                t |= t << shift
-                if old is None:
-                    del env[x]
-                else:
-                    env[x] = old
-            values.append(t)
-    return values
+                env[x] = old
+        return t
+
+    return [fold(f, leave, enter) for f in roots]
 
 
 def _apply_user(table: OperatorTable, op: str, args: list[int], full: int) -> int:
@@ -471,14 +461,11 @@ def evaluate_via_mc(
     fixed = substitute(phi, constants)
     parts = prenex_mc(fixed, FreshGen.for_formula(fixed))
 
-    def ev(f: Formula) -> int:
+    def leave(f: Formula, kids: list) -> int:
         if isinstance(f, Quant):
             return evaluate(valuation, f, table)
         if isinstance(f, Var):
             return valuation.value(f.name)
-        return table.apply(f.op, [ev(a) for a in f.args])
+        return table.apply(f.op, kids)
 
-    try:
-        return ev(parts)
-    finally:
-        del ev  # break the closure's reference cycle so its frame is freed
+    return fold(parts, leave, lambda q: False)  # prenex parts are leaves

@@ -45,7 +45,8 @@ from .core import (
     big_conj,
     classify_name,
     conj,
-    disj,
+    fold,
+    fold_app,
     free_vars,
     iff,
     implies,
@@ -118,20 +119,17 @@ def decompose_outermost(phi: Formula, gen: FreshGen | None = None) -> Decomposit
     gen = gen or FreshGen.for_formula(phi)
     bindings: list[Binding] = []
 
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Var):
-            return f
+    def leave(f: Formula, kids: list) -> Formula:
+        if isinstance(f, App):
+            return App(f.op, tuple(kids))
         if isinstance(f, Quant):
             index = gen.allocate()
             name = abbrev_name(index)
             bindings.append(Binding(name, f.kind, f.block, f.body, index))
             return Var(name)
-        return App(f.op, tuple(walk(a) for a in f.args))
+        return f
 
-    try:
-        skeleton = walk(phi)
-    finally:
-        del walk  # break the closure's reference cycle so its frame is freed
+    skeleton = fold(phi, leave, lambda q: False)  # quantifiers are leaves
     return Decomposition(skeleton, tuple(bindings))
 
 
@@ -281,9 +279,6 @@ def _check_capture(f: Quant, env: dict[str, Var]) -> None:
                 raise CaptureError(info.origin, y, f.block)
 
 
-_ENTER, _LEAVE_APP, _LEAVE_QUANT = range(3)
-
-
 def prenex_tracked(
     kind: Kind, phi: Formula, gen: FreshGen | None = None
 ) -> tuple[Formula, frozenset[str]]:
@@ -291,11 +286,11 @@ def prenex_tracked(
 
     One pass does the work of iterating :func:`step_transform` per layer.
     Indices are handed out layer by layer, left to right within a layer, as
-    the layered iteration would.  A single post-order walk then replaces
-    every quantifier node by its abbreviation variable, renaming bound
-    occurrences through one mutable environment (bound name -> current
-    positive copy), and files the node's definition and guard under its
-    layer.  The cores and fused blocks are assembled inside out at the end.
+    the layered iteration would.  A single :func:`fold` then replaces every
+    quantifier node by its abbreviation variable, renaming bound occurrences
+    through one mutable environment (bound name -> current positive copy),
+    and files the node's definition and guard under its layer.  The cores
+    and fused blocks are assembled inside out at the end.
     """
     gen = gen or FreshGen.for_formula(phi)
     counts = _layer_counts(phi)
@@ -310,57 +305,47 @@ def prenex_tracked(
     positives: list[list[str]] = [[] for _ in counts]
     negatives: list[list[str]] = [[] for _ in counts]
     env: dict[str, Var] = {}
-    results: list[Formula] = []
-    stack: list[tuple] = [(_ENTER, phi, 0)]
-    while stack:
-        frame = stack.pop()
-        action, f = frame[0], frame[1]
-        if action == _ENTER:
-            if isinstance(f, Var):
-                results.append(env.get(f.name, f))
-            elif isinstance(f, App):
-                if f.args:
-                    layer = frame[2]
-                    stack.append((_LEAVE_APP, f))
-                    stack.extend((_ENTER, a, layer) for a in reversed(f.args))
-                else:
-                    results.append(f)
-            else:
-                if any(RESERVED_CHAR in y for y in f.block):
-                    _check_capture(f, env)
-                layer = frame[2]
-                index = next_index[layer]
-                next_index[layer] = index + 1
-                shadowed = [(x, env[x]) for x in f.block if x in env]
-                copies = [Var(pos_copy(x, index)) for x in f.block]
-                env.update(zip(f.block, copies))
-                stack.append((_LEAVE_QUANT, f, layer, index, shadowed, copies))
-                stack.append((_ENTER, f.body, layer + 1))
-        elif action == _LEAVE_APP:
-            n = len(f.args)
-            args = tuple(results[-n:])
-            del results[-n:]
-            unchanged = all(a is b for a, b in zip(args, f.args))
-            results.append(f if unchanged else App(f.op, args))
-        else:
-            _, _, layer, index, shadowed, copies = frame
-            for x in f.block:
-                del env[x]
-            env.update(shadowed)
-            abbrev = Var(abbrev_name(index))
-            layer_parts = parts[layer]
-            layer_parts.append(iff(abbrev, results.pop()))
-            positives[layer].append(abbrev.name)
-            if f.block:
-                partners = [Var(neg_copy(x, index)) for x in f.block]
-                equalities = big_conj([iff(p, q) for p, q in zip(copies, partners)])
-                head = neg(abbrev) if f.kind is Kind.EXISTS else abbrev
-                layer_parts.append(implies(head, equalities))
-                positives[layer].extend(p.name for p in copies)
-                negatives[layer].extend(q.name for q in partners)
-            results.append(abbrev)
+    # One frame per enclosing quantifier: its index, the outer meanings of
+    # the names it shadows, and its positive copies.
+    frames: list[tuple[int, list[tuple[str, Var]], list[Var]]] = []
 
-    (matrix,) = results
+    def enter(f: Quant) -> bool:
+        if any(RESERVED_CHAR in y for y in f.block):
+            _check_capture(f, env)
+        layer = len(frames)
+        index = next_index[layer]
+        next_index[layer] = index + 1
+        shadowed = [(x, env[x]) for x in f.block if x in env]
+        copies = [Var(pos_copy(x, index)) for x in f.block]
+        env.update(zip(f.block, copies))
+        frames.append((index, shadowed, copies))
+        return True
+
+    def leave(f: Formula, kids: list) -> Formula:
+        if isinstance(f, Var):
+            return env.get(f.name, f)
+        if isinstance(f, App):
+            unchanged = all(a is b for a, b in zip(kids, f.args))
+            return f if unchanged else App(f.op, tuple(kids))
+        index, shadowed, copies = frames.pop()
+        layer = len(frames)
+        for x in f.block:
+            del env[x]
+        env.update(shadowed)
+        abbrev = Var(abbrev_name(index))
+        layer_parts = parts[layer]
+        layer_parts.append(iff(abbrev, kids[0]))
+        positives[layer].append(abbrev.name)
+        if f.block:
+            partners = [Var(neg_copy(x, index)) for x in f.block]
+            equalities = big_conj([iff(p, q) for p, q in zip(copies, partners)])
+            head = neg(abbrev) if f.kind is Kind.EXISTS else abbrev
+            layer_parts.append(implies(head, equalities))
+            positives[layer].extend(p.name for p in copies)
+            negatives[layer].extend(q.name for q in partners)
+        return abbrev
+
+    matrix = fold(phi, leave, enter)
     kinds = [kind if layer % 2 == 0 else kind.dual for layer in range(len(counts))]
     for q, layer_parts in zip(kinds, parts):
         core = big_conj(layer_parts)
@@ -407,80 +392,6 @@ def prenex_mc(phi: Formula, gen: FreshGen | None = None) -> Formula:
 # Naive baseline
 
 _MONOTONE = ("and", "or", "not", "imp")
-
-
-def _fold_at_root(f: Formula) -> Formula:
-    """Single-node constant folding after one argument became a constant."""
-    if not isinstance(f, App) or f.op not in ("and", "or", "imp", "iff", "xor", "not"):
-        return f
-    if f.op == "not":
-        (a,) = f.args
-        if a == TRUE:
-            return FALSE
-        if a == FALSE:
-            return TRUE
-        return f
-    a, b = f.args
-    if f.op == "and":
-        if a == FALSE or b == FALSE:
-            return FALSE
-        if a == TRUE:
-            return b
-        if b == TRUE:
-            return a
-    elif f.op == "or":
-        if a == TRUE or b == TRUE:
-            return TRUE
-        if a == FALSE:
-            return b
-        if b == FALSE:
-            return a
-    elif f.op == "imp":
-        if a == FALSE or b == TRUE:
-            return TRUE
-        if a == TRUE:
-            return b
-        if b == FALSE:
-            return _fold_at_root(neg(a))
-    elif f.op == "iff":
-        if a == TRUE:
-            return b
-        if b == TRUE:
-            return a
-        if a == FALSE:
-            return _fold_at_root(neg(b))
-        if b == FALSE:
-            return _fold_at_root(neg(a))
-    else:  # xor
-        if a == FALSE:
-            return b
-        if b == FALSE:
-            return a
-        if a == TRUE:
-            return _fold_at_root(neg(b))
-        if b == TRUE:
-            return _fold_at_root(neg(a))
-    return f
-
-
-def _conj2(a: Formula, b: Formula) -> Formula:
-    if a == FALSE or b == FALSE:
-        return FALSE
-    if a == TRUE:
-        return b
-    if b == TRUE:
-        return a
-    return conj(a, b)
-
-
-def _disj2(a: Formula, b: Formula) -> Formula:
-    if a == TRUE or b == TRUE:
-        return TRUE
-    if a == FALSE:
-        return b
-    if b == FALSE:
-        return a
-    return disj(a, b)
 
 
 def _dual_prenex(phi: Formula) -> Formula:
@@ -536,16 +447,17 @@ class _NaivePrenexer:
                 continue
             chunk = self._pull(arg, frozenset(free_vars(arg)))
             on_true = self._eliminate(
-                _fold_at_root(App(f.op, f.args[:j] + (TRUE,) + f.args[j + 1 :]))
+                fold_app(f.op, f.args[:j] + (TRUE,) + f.args[j + 1 :])
             )
             on_false = self._eliminate(
-                _fold_at_root(App(f.op, f.args[:j] + (FALSE,) + f.args[j + 1 :]))
+                fold_app(f.op, f.args[:j] + (FALSE,) + f.args[j + 1 :])
             )
-            positive = _conj2(on_true, chunk)
+            positive = fold_app("and", (on_true, chunk))
             if on_false == FALSE:
                 result = positive
             else:
-                result = _disj2(positive, _conj2(on_false, _dual_prenex(chunk)))
+                negative = fold_app("and", (on_false, _dual_prenex(chunk)))
+                result = fold_app("or", (positive, negative))
             self._check(result)
             return result
         return f

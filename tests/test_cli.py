@@ -173,18 +173,43 @@ class TestCheckCommand:
         assert run(["check", src, "--oracle-cap", "2"]) == 3
 
 
+def _imp_chain(depth):
+    return " -> ".join(f"p{i}" for i in range(depth)) + " -> (exists x . x)"
+
+
 @pytest.mark.parametrize("command", ["prenex", "check"])
 def test_recursion_fault_is_one_line_with_exit_2(tmp_path, capsys, command):
-    # The mc decomposition still recurses once per nesting level, so this
-    # chain exhausts the recursion limit; the CLI reports it as a fault.
-    chain = " -> ".join(f"p{i}" for i in range(12_000)) + " -> (exists x . x)"
-    src = write(tmp_path, "in.fqbf", chain)
+    # The recursive-descent parser cannot read a chain this deep even under
+    # the CLI's raised limit; the CLI reports it as a fault.
+    src = write(tmp_path, "in.fqbf", _imp_chain(25_000))
     out = ["--out", str(tmp_path / "out.fqbf")] if command == "prenex" else []
     assert run([command, src, "--mode", "mc", *out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: RecursionError: maximum recursion depth")
     assert captured.err.count("\n") == 1
+
+
+def test_deep_chain_runs_through_every_mode_and_format(tmp_path, capsys):
+    # 12,000 levels parse under the CLI's limit; nothing after the parser
+    # recurses, so every mode and format runs to its documented exit code.
+    src = write(tmp_path, "in.fqbf", _imp_chain(12_000))
+    for mode in ("sat", "valid", "mc"):
+        for fmt in ("fqbf", "qcir", "qdimacs"):
+            out = str(tmp_path / f"out.{mode}.{fmt}")
+            code = run(["prenex", src, "--mode", mode, "--format", fmt, "--out", out])
+            captured = capsys.readouterr()
+            if mode == "mc" and fmt != "fqbf":
+                assert code == 1
+                assert captured.out == ""
+                assert "needs a prenex formula" in captured.err
+                assert captured.err.count("\n") == 1
+            else:
+                assert code == 0, captured.err
+                assert metrics_of(captured.out)["input_length"] == "24003"
+    # 12,000 free names: the oracle refuses after the transform ran.
+    assert run(["check", src, "--mode", "mc"]) == 3
+    assert capsys.readouterr().err.startswith("error: oracle refuses")
 
 
 def test_memory_fault_is_one_line_with_exit_2(capsys, monkeypatch):

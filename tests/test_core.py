@@ -198,7 +198,7 @@ class TestPrenexPredicate:
 
 class TestOperatorTable:
     def test_required_operators(self):
-        table = OperatorTable.default()
+        table = OperatorTable()
         for name, arity in [
             ("false", 0), ("true", 0), ("not", 1), ("and", 2),
             ("or", 2), ("imp", 2), ("iff", 2), ("xor", 2),
@@ -208,12 +208,12 @@ class TestOperatorTable:
             assert len(table.truth_table(name)) == 2**arity
 
     def test_first_argument_most_significant(self):
-        table = OperatorTable.default()
+        table = OperatorTable()
         assert table.apply("imp", [1, 0]) == 0
         assert table.apply("imp", [0, 1]) == 1
 
     def test_add_validates(self):
-        table = OperatorTable.default()
+        table = OperatorTable()
         with pytest.raises(ValueError):
             table.add("odd", 2, (1, 0, 1))
         with pytest.raises(ValueError):

@@ -111,7 +111,7 @@ class TestLowering:
         assert ops <= {"and", "or", "not", "true", "false"}
 
     def test_zero_arity(self):
-        table = OperatorTable.default()
+        table = OperatorTable()
         table.add("always", 0, (1,))
         lowered = lower_operators(App("always", ()), table)
         assert lowered == App("true", ())
@@ -119,7 +119,7 @@ class TestLowering:
     def test_random_tables(self):
         rng = random.Random(139)
         for trial in range(50):
-            table = OperatorTable.default()
+            table = OperatorTable()
             bits = [rng.randint(0, 1) for _ in range(4)]
             table.add("g", 2, bits)
             phi = App("g", (Var("a"), App("not", (Var("b"),))))

@@ -12,6 +12,7 @@ from qprenex.core import (
     TRUE,
     Var,
     exists,
+    fold_constants,
     free_vars,
     is_boolean,
     is_prenex,
@@ -24,9 +25,10 @@ from qprenex.core import (
     vars_of,
     xor,
 )
+from qprenex.export import lower_operators, to_qcir, to_qdimacs
 from qprenex.generate import nested_iff_family, random_formula
-from qprenex.parser import parse_formula
-from qprenex.semantics import equisatisfiable, equivalent
+from qprenex.parser import format_formula, parse_formula
+from qprenex.semantics import Valuation, equisatisfiable, equivalent, evaluate_via_mc
 from qprenex.transform import (
     PreconditionError,
     decompose_outermost,
@@ -387,6 +389,42 @@ def _quantifier_chain(depth: int):
     return phi
 
 
+def _imp_chain(depth: int):
+    """``p0 -> p1 -> ... -> (exists x . x)``, right-nested ``depth`` deep."""
+    phi = Quant(Kind.EXISTS, ("x",), Var("x"))
+    for i in reversed(range(depth)):
+        phi = App("imp", (Var(f"p{i}"), phi))
+    return phi
+
+
+def _and_chain(count: int):
+    """``c0 & c1 & ...``, left-nested, with ``(forall y . y | c0)`` in the middle."""
+    phi = Var("c0")
+    for i in range(1, count):
+        item = Var(f"c{i}")
+        if i == count // 2:
+            item = Quant(Kind.FORALL, ("y",), App("or", (Var("y"), Var("c0"))))
+        phi = App("and", (phi, item))
+    return phi
+
+
+def _check_qcir_header(text: str) -> None:
+    """The header's count is the last gate's id."""
+    lines = text.splitlines()
+    assert lines[0].split()[1] == lines[-1].split()[0]
+
+
+def _check_qdimacs_header(text: str) -> None:
+    """The header counts the prefix's variables and the clause lines."""
+    lines = text.splitlines()
+    _, _, nvars, nclauses = lines[0].split()
+    prefix = [line for line in lines[1:] if line[0] in "ea"]
+    clauses = lines[1 + len(prefix):]
+    assert len(clauses) == int(nclauses)
+    top = max(int(x) for line in prefix for x in line.split()[1:-1])
+    assert top == int(nvars)
+
+
 @pytest.fixture
 def default_recursion_limit():
     previous = sys.getrecursionlimit()
@@ -435,17 +473,50 @@ class TestSinglePass:
 
     @pytest.mark.usefixtures("default_recursion_limit")
     @pytest.mark.parametrize(
-        "build",
-        [_quantifier_chain, nested_iff_family],
-        ids=["quantifier_chain_10k", "nested_iff_10k"],
+        "build, size, value",
+        [
+            # value: under all names true; None where the quantified part
+            # itself is too deep for the reference evaluator, which recurses.
+            (_quantifier_chain, 10_000, None),
+            (nested_iff_family, 10_000, None),
+            (_imp_chain, 100_000, 1),
+            (_and_chain, 100_000, 1),
+        ],
+        ids=[
+            "quantifier_chain_10k",
+            "nested_iff_10k",
+            "imp_chain_100k",
+            "and_chain_100k",
+        ],
     )
-    def test_deep_inputs_at_default_recursion_limit(self, build):
-        phi = build(10_000)
-        for kind in (Kind.EXISTS, Kind.FORALL):
+    def test_deep_inputs_at_default_recursion_limit(self, build, size, value):
+        # Compared through lengths and text: dataclass equality recurses.
+        phi = build(size)
+        depth = qdepth(phi)
+        for kind, mode in ((Kind.EXISTS, "sat"), (Kind.FORALL, "valid")):
             result = prenex(kind, phi, FreshGen.for_formula(phi))
             assert is_prenex(result)
-            assert qdepth(result) == qdepth(phi) == 10_000
+            assert qdepth(result) == depth
             assert length(result) <= 9 * length(phi)
+            lowered = lower_operators(result)
+            assert length(lowered) == length(result)
+            _check_qcir_header(to_qcir(lowered))
+            _check_qdimacs_header(to_qdimacs(lowered, mode=mode))
+        parts = prenex_mc(phi, FreshGen.for_formula(phi))
+        assert qdepth(parts) == depth
+        assert length(parts) <= 9 * length(phi)
+        assert free_vars(parts) == free_vars(phi)
+
+        text = format_formula(phi)
+        assert len(text) > length(phi)
+        assert format_formula(fold_constants(phi)) == text
+        first = min(free_vars(phi))
+        renamed = substitute(phi, {first: Var("w")})
+        assert length(renamed) == length(phi)
+        assert free_vars(renamed) == free_vars(phi) - {first} | {"w"}
+        assert length(fold_constants(substitute(phi, {first: TRUE}))) < length(phi)
+        if value is not None:
+            assert evaluate_via_mc(Valuation(default=1), phi) == value
 
 
 class TestPrenexMc:

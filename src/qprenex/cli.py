@@ -74,7 +74,10 @@ def _transform(mode: str, formula: Formula, gen: FreshGen) -> Formula:
 
 
 def _read_problem(path: str, allow_internal: bool) -> Problem:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise _InputError(f"{path} is not UTF-8 text: {err}") from None
     return parse(text, allow_internal_names=allow_internal)
 
 
@@ -214,6 +217,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.vars < 1:
+        raise _InputError(f"--vars must be at least 1, got {args.vars}")
     rng = random.Random(_seed(args))
     problem = random_problem(
         rng,
@@ -339,11 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    sys.setrecursionlimit(20_000)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as err:
+    except (_InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (RecursionError, MemoryError) as err:

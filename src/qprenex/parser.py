@@ -17,6 +17,13 @@ Grammar (EBNF)::
                | NAME "(" [formula ("," formula)*] ")"
                | "(" formula ")"
     var       := [A-Za-z_][A-Za-z0-9_]*
+    INT, BITS := [0-9]+
+
+The grammar is read by precedence climbing over explicit operand and
+operator stacks, so nesting depth costs no Python frames: ``exists`` and
+``forall`` are prefix operators of the lowest precedence, legal only where a
+``formula`` starts, whose scope closes at ``)``, ``,`` or the end of input;
+``~`` is a prefix operator of the highest.
 
 ``#`` starts a comment running to end of line.  A multi-variable quantifier
 ``exists x y . f`` parses as a single block {x, y}.  Declared truth tables
@@ -31,7 +38,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .core import (
     App,
@@ -76,246 +82,271 @@ class Problem:
 # ---------------------------------------------------------------------------
 # Lexer
 
+# Every match skips blanks and comments, then reads one token into group 1;
+# any other character lands in the catch-all group 2, so no input position
+# goes unread.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<name>[A-Za-z_@][A-Za-z0-9_@]*)
-  | (?P<int>\d+)
-  | (?P<iffsym><->)
-  | (?P<impsym>->)
-  | (?P<punct>[().,;:/~&|])
+    (?:[ \t\r\n]|\#[^\n]*)*
+    (?:
+        ([A-Za-z_@][A-Za-z0-9_@]*|[0-9]+|<->|->|[().,;:/~&|])
+      | (.)
+    )?
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+# Keywords and symbols are typed by their own text.
+_TYPES = {word: word for word in KEYWORDS}
+_TYPES.update((symbol, symbol) for symbol in ("<->", "->", *"().,;:/~&|"))
 
 
-@dataclass(frozen=True)
-class _Token:
-    type: str  # 'name' | 'keyword' | 'int' | literal punctuation | 'eof'
-    text: str
-    line: int
-    column: int
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A :class:`ParseError` at ``offset``, with its 1-based line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _tokenize(text: str, allow_internal_names: bool) -> Iterator[_Token]:
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        tok_text = m.group()
-        col = pos - line_start + 1
-        pos = m.end()
-        if kind in ("ws", "comment"):
-            newlines = tok_text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos - (len(tok_text) - tok_text.rfind("\n") - 1)
-            continue
-        if kind == "name":
-            if RESERVED_CHAR in tok_text and not allow_internal_names:
-                raise ParseError(
+def _unexpected(text: str, token: tuple[str, str, int], expected: str) -> ParseError:
+    _, found, offset = token
+    return _error(
+        text,
+        offset,
+        f"expected {expected}, found {found!r}" if found else
+        f"expected {expected}, found end of input",
+    )
+
+
+def _lex(text: str, allow_internal_names: bool) -> list[tuple[str, str, int]]:
+    """All tokens of ``text`` as ``(type, text, offset)``, ending in ``eof``.
+
+    The type of a keyword or a symbol is its own text; names and integers
+    have the types ``name`` and ``int``.
+    """
+    tokens = []
+    put = tokens.append
+    typed = _TYPES.get
+    for m in _TOKEN_RE.finditer(text):
+        word = m[1]
+        if word is None:
+            if m[2] is None:  # blanks at the end of the input
+                continue
+            raise _error(text, m.start(2), f"unexpected character {m[2]!r}")
+        kind = typed(word)
+        if kind is None:
+            if word[0].isdigit():
+                kind = "int"
+            elif RESERVED_CHAR in word and not allow_internal_names:
+                raise _error(
+                    text,
+                    m.start(1) + word.index(RESERVED_CHAR),
                     "reserved character '@' in identifier "
                     "(generated names need allow_internal_names)",
-                    line,
-                    col + tok_text.index(RESERVED_CHAR),
                 )
-            ttype = "keyword" if tok_text in KEYWORDS else "name"
-        elif kind == "int":
-            ttype = "int"
-        else:  # operators and punctuation are their own type
-            ttype = tok_text
-        yield _Token(ttype, tok_text, line, col)
-    yield _Token("eof", "", line, len(text) - line_start + 1)
+            else:
+                kind = "name"
+        put((kind, word, m.start(1)))
+    put(("eof", "", len(text)))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-class _Parser:
-    def __init__(self, text: str, table: OperatorTable, allow_internal_names: bool):
-        self._tokens = list(_tokenize(text, allow_internal_names))
-        self._pos = 0
-        self._table = table
+_DECLARATION = (
+    ("name", "operator name"),
+    ("/", "'/'"),
+    ("int", "arity"),
+    (":", "':'"),
+    ("int", "truth-table bitstring"),
+    (";", "';'"),
+)
 
-    @property
-    def _tok(self) -> _Token:
-        return self._tokens[self._pos]
 
-    def _advance(self) -> _Token:
-        tok = self._tok
-        self._pos += 1
-        return tok
+def _declarations(
+    text: str, tokens: list[tuple[str, str, int]], table: OperatorTable
+) -> tuple[list[OpDecl], int]:
+    """Read the leading ``op`` declarations into ``table``.
 
-    def _expect(self, ttype: str, what: str | None = None) -> _Token:
-        tok = self._tok
-        if tok.type != ttype:
-            expected = what or f"'{ttype}'"
-            raise ParseError(
-                f"expected {expected}, found {tok.text!r}" if tok.text else
-                f"expected {expected}, found end of input",
-                tok.line,
-                tok.column,
+    Returns them with the index of the first token after them.  The arity is
+    checked against the number of bits without computing ``2 ** arity``, so
+    an absurd arity is an ordinary error.
+    """
+    decls: list[OpDecl] = []
+    i = 0
+    while tokens[i][0] == "op":
+        fields = tokens[i + 1 : i + 7]
+        for token, (ttype, what) in zip(fields, _DECLARATION):
+            if token[0] != ttype:
+                raise _unexpected(text, token, what)
+        i += 7
+        (_, name, name_at), _, (_, arity_text, _), _, (_, bits, bits_at), _ = fields
+        if bits.strip("01"):
+            raise _error(
+                text, bits_at, f"truth table for '{name}' must contain only 0/1 bits"
             )
-        return self._advance()
-
-    def _error(self, message: str) -> ParseError:
-        return ParseError(message, self._tok.line, self._tok.column)
-
-    def parse_problem(self) -> Problem:
-        decls: list[OpDecl] = []
-        while self._tok.type == "keyword" and self._tok.text == "op":
-            decls.append(self._declaration())
-        formula = self.parse_formula()
-        self._expect("eof", "end of input")
-        return Problem(tuple(decls), formula, self._table)
-
-    def _declaration(self) -> OpDecl:
-        self._advance()  # 'op'
-        name_tok = self._expect("name", "operator name")
-        self._expect("/")
-        arity_tok = self._expect("int", "arity")
-        self._expect(":")
-        bits_tok = self._expect("int", "truth-table bitstring")
-        self._expect(";")
-        arity = int(arity_tok.text)
-        bits = bits_tok.text
-        if set(bits) - {"0", "1"}:
-            raise ParseError(
-                f"truth table for '{name_tok.text}' must contain only 0/1 bits",
-                bits_tok.line,
-                bits_tok.column,
+        size = len(bits)
+        arity = size.bit_length() - 1  # the only arity ``size`` bits can fit
+        digits = arity_text.lstrip("0") or "0"
+        if size != 1 << arity or digits != str(arity):
+            expected = str(1 << int(digits)) if len(digits) == 1 else f"2^{digits}"
+            raise _error(
+                text,
+                bits_at,
+                f"truth table for '{name}' has {size} bits, "
+                f"expected {expected} for arity {digits}",
             )
-        if len(bits) != 2**arity:
-            raise ParseError(
-                f"truth table for '{name_tok.text}' has {len(bits)} bits, "
-                f"expected {2 ** arity} for arity {arity}",
-                bits_tok.line,
-                bits_tok.column,
+        if table.has(name):
+            raise _error(
+                text, name_at, f"operator '{name}' collides with an existing operator"
             )
-        if self._table.has(name_tok.text):
-            raise ParseError(
-                f"operator '{name_tok.text}' collides with an existing operator",
-                name_tok.line,
-                name_tok.column,
-            )
-        self._table.add(name_tok.text, arity, (int(b) for b in bits))
-        return OpDecl(name_tok.text, arity, bits)
+        table.add(name, arity, (int(b) for b in bits))
+        decls.append(OpDecl(name, arity, bits))
+    return decls, i
 
-    def parse_formula(self) -> Formula:
-        if self._tok.type == "keyword" and self._tok.text in ("exists", "forall"):
-            return self._quantifier()
-        return self._iff()
 
-    def _quantifier(self) -> Formula:
-        head = self._advance()
-        kind = Kind.EXISTS if head.text == "exists" else Kind.FORALL
-        names: list[str] = []
-        while self._tok.type == "name":
-            tok = self._advance()
-            if tok.text in names:
-                raise ParseError(
-                    f"duplicate variable '{tok.text}' in one quantifier block",
-                    tok.line,
-                    tok.column,
-                )
-            names.append(tok.text)
-        if not names:
-            raise self._error(f"expected at least one variable after '{head.text}'")
-        self._expect(".")
-        return Quant(kind, tuple(names), self.parse_formula())
+# Binary operators: token type -> (precedence, operator, reduce-from).  On
+# reading one, every pending operator of precedence at least ``reduce-from``
+# is applied first: its own precedence for the left-associative operators,
+# one above it for the right-associative ``->``.
+_BINARY = {
+    "<->": (1, "iff", 1),
+    "->": (2, "imp", 3),
+    "xor": (3, "xor", 3),
+    "|": (4, "or", 4),
+    "&": (5, "and", 5),
+}
+# Other operator-stack entries, by precedence: ``~`` binds tightest;
+# quantifier heads (0, kind, block) are weakest and close only at ``)``,
+# ``,`` or the end of input; below them sit the markers that delimit a
+# formula -- ``(``, an application (-2, name, argument base, offset), and
+# the bottom of the stack.
+_NEG = (6, "not")
+_GROUP = (-1,)
+_BOTTOM = (-3,)
+_QUANTIFIERS = {"exists": Kind.EXISTS, "forall": Kind.FORALL}
 
-    def _iff(self) -> Formula:
-        value = self._imp()
-        while self._tok.type == "<->":
-            self._advance()
-            value = App("iff", (value, self._imp()))
-        return value
 
-    def _imp(self) -> Formula:
-        value = self._xor()
-        if self._tok.type == "->":
-            self._advance()
-            return App("imp", (value, self._imp()))
-        return value
+def _application(
+    text: str, table: OperatorTable, name: str, args: tuple, offset: int
+) -> Formula:
+    expected = table.arity(name)
+    if expected != len(args):
+        raise _error(
+            text, offset, f"operator '{name}' expects {expected} arguments, got {len(args)}"
+        )
+    return App(name, args)
 
-    def _xor(self) -> Formula:
-        value = self._or()
-        while self._tok.type == "keyword" and self._tok.text == "xor":
-            self._advance()
-            value = App("xor", (value, self._or()))
-        return value
 
-    def _or(self) -> Formula:
-        value = self._and()
-        while self._tok.type == "|":
-            self._advance()
-            value = App("or", (value, self._and()))
-        return value
+def _read(
+    text: str, tokens: list[tuple[str, str, int]], i: int, table: OperatorTable
+) -> Formula:
+    """Read one formula from ``tokens[i]`` up to the end of input.
 
-    def _and(self) -> Formula:
-        value = self._neg()
-        while self._tok.type == "&":
-            self._advance()
-            value = App("and", (value, self._neg()))
-        return value
+    Precedence climbing over explicit stacks (Pratt, POPL 1973): operands
+    collect in ``values``, pending operators and formula delimiters in
+    ``ops``, so nesting depth costs no Python frames.
+    """
+    values: list[Formula] = []
+    ops: list[tuple] = [_BOTTOM]
+    put, push, pop = values.append, ops.append, ops.pop
+    start = True  # a quantifier may open the formula read next
+    while True:
+        # An operand is due: an atom, or a prefix that defers it.
+        ttype, word, offset = tokens[i]
+        i += 1
+        if ttype == "name":
+            if tokens[i][0] != "(":
+                put(Var(word))
+            elif not table.has(word):
+                raise _error(text, offset, f"unknown operator '{word}'")
+            elif tokens[i + 1][0] != ")":
+                push((-2, word, len(values), offset))
+                i += 1
+                start = True
+                continue
+            else:
+                put(_application(text, table, word, (), offset))
+                i += 2
+        elif ttype == "(":
+            push(_GROUP)
+            start = True
+            continue
+        elif ttype == "~":
+            push(_NEG)
+            start = False
+            continue
+        elif ttype == "true" or ttype == "false":
+            put(App(ttype, ()))
+        elif start and ttype in _QUANTIFIERS:
+            block: dict[str, None] = {}
+            ntype, name, at = tokens[i]
+            while ntype == "name":
+                if name in block:
+                    raise _error(
+                        text, at, f"duplicate variable '{name}' in one quantifier block"
+                    )
+                block[name] = None
+                i += 1
+                ntype, name, at = tokens[i]
+            if not block:
+                raise _error(text, at, f"expected at least one variable after '{word}'")
+            if ntype != ".":
+                raise _unexpected(text, tokens[i], "'.'")
+            i += 1
+            push((0, _QUANTIFIERS[ttype], tuple(block)))
+            continue
+        else:
+            raise _unexpected(text, tokens[i - 1], "a formula")
 
-    def _neg(self) -> Formula:
-        if self._tok.type == "~":
-            self._advance()
-            return App("not", (self._neg(),))
-        return self._atom()
-
-    def _atom(self) -> Formula:
-        tok = self._tok
-        if tok.type == "keyword" and tok.text in ("true", "false"):
-            self._advance()
-            return App(tok.text, ())
-        if tok.type == "name":
-            self._advance()
-            if self._tok.type == "(":
-                return self._application(tok)
-            return Var(tok.text)
-        if tok.type == "(":
-            self._advance()
-            value = self.parse_formula()
-            self._expect(")")
-            return value
-        raise self._error(f"expected a formula, found {tok.text!r}" if tok.text
-                          else "expected a formula, found end of input")
-
-    def _application(self, name_tok: _Token) -> Formula:
-        if not self._table.has(name_tok.text):
-            raise ParseError(
-                f"unknown operator '{name_tok.text}'", name_tok.line, name_tok.column
-            )
-        self._advance()  # '('
-        args: list[Formula] = []
-        if self._tok.type != ")":
-            args.append(self.parse_formula())
-            while self._tok.type == ",":
-                self._advance()
-                args.append(self.parse_formula())
-        self._expect(")")
-        expected = self._table.arity(name_tok.text)
-        if expected != len(args):
-            raise ParseError(
-                f"operator '{name_tok.text}' expects {expected} arguments, "
-                f"got {len(args)}",
-                name_tok.line,
-                name_tok.column,
-            )
-        return App(name_tok.text, tuple(args))
+        # An operand is complete: apply binary operators and close delimiters
+        # until one more operand is due.
+        while True:
+            ttype = tokens[i][0]
+            i += 1
+            binary = _BINARY.get(ttype)
+            # Any other token closes every pending operator, quantifiers too.
+            limit = 0 if binary is None else binary[2]
+            while ops[-1][0] >= limit:
+                top = pop()
+                if top is _NEG:
+                    values[-1] = App("not", (values[-1],))
+                elif top[0]:
+                    right = values.pop()
+                    values[-1] = App(top[1], (values[-1], right))
+                else:
+                    values[-1] = Quant(top[1], top[2], values[-1])
+            if binary is not None:
+                push(binary)
+                start = False
+                break
+            top = ops[-1]
+            if top is _GROUP:
+                if ttype != ")":
+                    raise _unexpected(text, tokens[i - 1], "')'")
+                pop()
+            elif top is _BOTTOM:
+                if ttype != "eof":
+                    raise _unexpected(text, tokens[i - 1], "end of input")
+                return values[0]
+            elif ttype == ",":
+                start = True
+                break
+            elif ttype != ")":
+                raise _unexpected(text, tokens[i - 1], "')'")
+            else:
+                pop()
+                _, name, base, at = top
+                args = tuple(values[base:])
+                del values[base:]
+                put(_application(text, table, name, args, at))
 
 
 def parse(text: str, *, allow_internal_names: bool = False) -> Problem:
     """Parse a problem (operator declarations followed by one formula)."""
-    return _Parser(text, OperatorTable(), allow_internal_names).parse_problem()
+    table = OperatorTable()
+    tokens = _lex(text, allow_internal_names)
+    decls, i = _declarations(text, tokens, table)
+    return Problem(tuple(decls), _read(text, tokens, i, table), table)
 
 
 def parse_formula(
@@ -325,10 +356,7 @@ def parse_formula(
     allow_internal_names: bool = False,
 ) -> Formula:
     """Parse a bare formula against an existing operator table."""
-    parser = _Parser(text, table or OperatorTable(), allow_internal_names)
-    formula = parser.parse_formula()
-    parser._expect("eof", "end of input")
-    return formula
+    return _read(text, _lex(text, allow_internal_names), 0, table or OperatorTable())
 
 
 # ---------------------------------------------------------------------------

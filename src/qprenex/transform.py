@@ -415,7 +415,9 @@ class _NaivePrenexer:
         self.budget = budget
 
     def run(self, phi: Formula) -> Formula:
-        rewritten = self._process(phi)
+        return self._pulled(fold(phi, self._leave))
+
+    def _pulled(self, rewritten: Formula) -> Formula:
         self._check(rewritten)
         return self._pull(rewritten, frozenset(free_vars(rewritten)))
 
@@ -424,15 +426,15 @@ class _NaivePrenexer:
         if size > self.budget:
             raise SizeBudgetExceeded(size, self.budget)
 
-    def _process(self, f: Formula) -> Formula:
+    def _leave(self, f: Formula, kids: list) -> Formula:
         """Remove quantifiers from non-monotone contexts, bottom-up."""
         if isinstance(f, Var):
             return f
         if isinstance(f, Quant):
-            return Quant(f.kind, f.block, self.run(f.body))
+            return Quant(f.kind, f.block, self._pulled(kids[0]))
         if f.op in _MONOTONE or not f.args:
-            return App(f.op, tuple(self._process(a) for a in f.args))
-        return self._eliminate(App(f.op, tuple(self._process(a) for a in f.args)))
+            return App(f.op, tuple(kids))
+        return self._eliminate(App(f.op, tuple(kids)))
 
     def _eliminate(self, f: Formula) -> Formula:
         """Case-split every quantified argument of a non-monotone operator."""
@@ -471,8 +473,20 @@ class _NaivePrenexer:
         """
         taken = set(reserved)
         prefix: list[tuple[Kind, tuple[str, ...]]] = []
-
-        def walk(g: Formula, env: dict[str, str], flip: bool) -> Formula:
+        # Work items (formula, renaming, flipped) are rewritten in order,
+        # left to right; (op, count) items build a node from the last
+        # ``count`` results.
+        values: list[Formula] = []
+        stack: list[tuple] = [(f, {}, False)]
+        while stack:
+            item = stack.pop()
+            if len(item) == 2:
+                op, count = item
+                kids = tuple(values[-count:])
+                del values[-count:]
+                values.append(App(op, kids))
+                continue
+            g, env, flip = item
             while isinstance(g, Quant):
                 env = dict(env)
                 fresh: list[str] = []
@@ -488,21 +502,18 @@ class _NaivePrenexer:
                 g = g.body
             if isinstance(g, Var):
                 name = env.get(g.name, g.name)
-                return Var(name) if name != g.name else g
-            if g.op == "not":
-                return neg(walk(g.args[0], env, not flip))
-            if g.op == "imp":
-                left = walk(g.args[0], env, not flip)
-                right = walk(g.args[1], env, flip)
-                return implies(left, right)
-            if g.op in ("and", "or"):
-                return App(g.op, tuple(walk(a, env, flip) for a in g.args))
-            # Quantifier-free subtree: only renaming applies.
-            renames = {old: Var(new) for old, new in env.items() if old != new}
-            return substitute(g, renames) if renames else g
-
-        matrix = walk(f, {}, False)
-        result = matrix
+                values.append(Var(name) if name != g.name else g)
+            elif g.op in _MONOTONE:
+                stack.append((g.op, len(g.args)))
+                # The argument of ``not`` and the premise of ``imp`` flip.
+                for k in reversed(range(len(g.args))):
+                    flipped = flip != (k == 0 and g.op in ("not", "imp"))
+                    stack.append((g.args[k], env, flipped))
+            else:
+                # Quantifier-free subtree: only renaming applies.
+                renames = {old: Var(new) for old, new in env.items() if old != new}
+                values.append(substitute(g, renames) if renames else g)
+        result = values[0]
         for kind, names in reversed(prefix):
             result = Quant(kind, names, result)
         return result

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
+import re
 
 from qprenex.core import (
+    RESERVED_CHAR,
+    App,
     Formula,
     FreshGen,
     Kind,
+    OperatorTable,
     Quant,
+    Var,
     is_boolean,
     nblock,
     nbvar,
@@ -24,7 +30,14 @@ from qprenex.export import (
     to_qdimacs,
 )
 from qprenex.generate import random_formula, random_problem
-from qprenex.parser import Problem, format_problem, parse_formula
+from qprenex.parser import (
+    KEYWORDS,
+    ParseError,
+    Problem,
+    _declarations,
+    format_problem,
+    parse_formula,
+)
 from qprenex.transform import (
     decompose_outermost,
     prenex,
@@ -85,6 +98,13 @@ def oracle_problem(rng: random.Random, limit: int = 16, **kwargs) -> Problem:
         problem = random_problem(rng, max_size=rng.randint(4, size_cap), **kwargs)
         if nblock(problem.formula) + 2 * nbvar(problem.formula) <= limit:
             return problem
+
+
+@functools.lru_cache(maxsize=1)
+def criterion_4_corpus() -> tuple[Problem, ...]:
+    """The acceptance suite's criterion-4 stream: 10,000 oracle problems."""
+    rng = random.Random(20240)
+    return tuple(oracle_problem(rng, limit=16) for _ in range(10_000))
 
 
 def small_formula(rng: random.Random, **kwargs) -> Formula:
@@ -151,3 +171,221 @@ def cli_outputs(problem: Problem, mode: str, fmt: str) -> tuple[str, str]:
     if not text.endswith("\n"):
         text += "\n"
     return text, manifest.render()
+
+
+# ---------------------------------------------------------------------------
+# Reference reader: the recursive-descent parser that precedence climbing
+# replaced, over its own position-tracking lexer.  It shares only the
+# declaration reader with the library.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<name>[A-Za-z_@][A-Za-z0-9_@]*)
+  | (?P<int>[0-9]+)
+  | (?P<sym><->|->|[().,;:/~&|])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokens(text: str, allow_internal_names: bool) -> list[tuple[str, str, int]]:
+    """Tokens in the library lexer's ``(type, text, offset)`` form, one
+    ``re.match`` at a time, with line and column tracked as it goes."""
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(
+                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+            )
+        kind = m.lastgroup
+        word = m.group()
+        start = pos
+        pos = m.end()
+        if kind in ("ws", "comment"):
+            newlines = word.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos - (len(word) - word.rfind("\n") - 1)
+            continue
+        if kind == "name":
+            if RESERVED_CHAR in word and not allow_internal_names:
+                raise ParseError(
+                    "reserved character '@' in identifier "
+                    "(generated names need allow_internal_names)",
+                    line,
+                    start - line_start + 1 + word.index(RESERVED_CHAR),
+                )
+            kind = word if word in KEYWORDS else "name"
+        elif kind == "sym":
+            kind = word
+        tokens.append((kind, word, start))
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+class ReferenceParser:
+    """Recursive descent, one method per precedence level."""
+
+    def __init__(self, text: str, table: OperatorTable, allow_internal_names: bool):
+        self._text = text
+        self._tokens = reference_tokens(text, allow_internal_names)
+        self._pos = 0
+        self._table = table
+
+    def _error(self, message: str, token: tuple[str, str, int]) -> ParseError:
+        offset = token[2]
+        before = self._text[:offset]
+        return ParseError(message, before.count("\n") + 1, offset - before.rfind("\n"))
+
+    def _advance(self) -> tuple[str, str, int]:
+        token = self._tokens[self._pos]
+        self._pos += 1
+        return token
+
+    def _expect(self, ttype: str, what: str | None = None) -> tuple[str, str, int]:
+        token = self._tokens[self._pos]
+        if token[0] != ttype:
+            expected = what or f"'{ttype}'"
+            raise self._error(
+                f"expected {expected}, found {token[1]!r}" if token[1] else
+                f"expected {expected}, found end of input",
+                token,
+            )
+        return self._advance()
+
+    def parse_problem(self) -> Problem:
+        decls, self._pos = _declarations(self._text, self._tokens, self._table)
+        formula = self.parse_formula()
+        self._expect("eof", "end of input")
+        return Problem(tuple(decls), formula, self._table)
+
+    def parse_formula(self) -> Formula:
+        if self._tokens[self._pos][0] in ("exists", "forall"):
+            return self._quantifier()
+        return self._iff()
+
+    def _quantifier(self) -> Formula:
+        head = self._advance()
+        kind = Kind.EXISTS if head[1] == "exists" else Kind.FORALL
+        names: list[str] = []
+        while self._tokens[self._pos][0] == "name":
+            token = self._advance()
+            if token[1] in names:
+                raise self._error(
+                    f"duplicate variable '{token[1]}' in one quantifier block", token
+                )
+            names.append(token[1])
+        if not names:
+            raise self._error(
+                f"expected at least one variable after '{head[1]}'",
+                self._tokens[self._pos],
+            )
+        self._expect(".")
+        return Quant(kind, tuple(names), self.parse_formula())
+
+    def _iff(self) -> Formula:
+        value = self._imp()
+        while self._tokens[self._pos][0] == "<->":
+            self._advance()
+            value = App("iff", (value, self._imp()))
+        return value
+
+    def _imp(self) -> Formula:
+        value = self._xor()
+        if self._tokens[self._pos][0] == "->":
+            self._advance()
+            return App("imp", (value, self._imp()))
+        return value
+
+    def _xor(self) -> Formula:
+        value = self._or()
+        while self._tokens[self._pos][0] == "xor":
+            self._advance()
+            value = App("xor", (value, self._or()))
+        return value
+
+    def _or(self) -> Formula:
+        value = self._and()
+        while self._tokens[self._pos][0] == "|":
+            self._advance()
+            value = App("or", (value, self._and()))
+        return value
+
+    def _and(self) -> Formula:
+        value = self._neg()
+        while self._tokens[self._pos][0] == "&":
+            self._advance()
+            value = App("and", (value, self._neg()))
+        return value
+
+    def _neg(self) -> Formula:
+        if self._tokens[self._pos][0] == "~":
+            self._advance()
+            return App("not", (self._neg(),))
+        return self._atom()
+
+    def _atom(self) -> Formula:
+        token = self._tokens[self._pos]
+        ttype, word, _ = token
+        if ttype in ("true", "false"):
+            self._advance()
+            return App(word, ())
+        if ttype == "name":
+            self._advance()
+            if self._tokens[self._pos][0] == "(":
+                return self._application(token)
+            return Var(word)
+        if ttype == "(":
+            self._advance()
+            value = self.parse_formula()
+            self._expect(")")
+            return value
+        raise self._error(
+            f"expected a formula, found {word!r}" if word else
+            "expected a formula, found end of input",
+            token,
+        )
+
+    def _application(self, name: tuple[str, str, int]) -> Formula:
+        if not self._table.has(name[1]):
+            raise self._error(f"unknown operator '{name[1]}'", name)
+        self._advance()  # '('
+        args: list[Formula] = []
+        if self._tokens[self._pos][0] != ")":
+            args.append(self.parse_formula())
+            while self._tokens[self._pos][0] == ",":
+                self._advance()
+                args.append(self.parse_formula())
+        self._expect(")")
+        expected = self._table.arity(name[1])
+        if expected != len(args):
+            raise self._error(
+                f"operator '{name[1]}' expects {expected} arguments, got {len(args)}",
+                name,
+            )
+        return App(name[1], tuple(args))
+
+
+def reference_parse(text: str, *, allow_internal_names: bool = False) -> Problem:
+    """``parse`` by recursive descent; needs a recursion limit above the
+    input's nesting depth."""
+    return ReferenceParser(text, OperatorTable(), allow_internal_names).parse_problem()
+
+
+def reference_parse_formula(
+    text: str,
+    table: OperatorTable | None = None,
+    *,
+    allow_internal_names: bool = False,
+) -> Formula:
+    """``parse_formula`` by recursive descent."""
+    parser = ReferenceParser(text, table or OperatorTable(), allow_internal_names)
+    formula = parser.parse_formula()
+    parser._expect("eof", "end of input")
+    return formula

@@ -178,10 +178,14 @@ def _imp_chain(depth):
 
 
 @pytest.mark.parametrize("command", ["prenex", "check"])
-def test_recursion_fault_is_one_line_with_exit_2(tmp_path, capsys, command):
-    # The recursive-descent parser cannot read a chain this deep even under
-    # the CLI's raised limit; the CLI reports it as a fault.
-    src = write(tmp_path, "in.fqbf", _imp_chain(25_000))
+def test_recursion_fault_is_one_line_with_exit_2(tmp_path, capsys, monkeypatch, command):
+    # No stage recurses on its input any more, so a runaway stage stands in
+    # for one that did.
+    def runaway(phi, gen):
+        return runaway(phi, gen)
+
+    monkeypatch.setattr(cli, "prenex_mc", runaway)
+    src = write(tmp_path, "in.fqbf", "a xor (exists x . x & b)")
     out = ["--out", str(tmp_path / "out.fqbf")] if command == "prenex" else []
     assert run([command, src, "--mode", "mc", *out]) == 2
     captured = capsys.readouterr()
@@ -190,26 +194,41 @@ def test_recursion_fault_is_one_line_with_exit_2(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1
 
 
+def _expect_documented_exit(code, captured, mode, fmt, input_length):
+    if mode == "mc" and fmt != "fqbf":
+        assert code == 1
+        assert captured.out == ""
+        assert "needs a prenex formula" in captured.err
+        assert captured.err.count("\n") == 1
+    else:
+        assert code == 0, captured.err
+        assert metrics_of(captured.out)["input_length"] == input_length
+
+
 def test_deep_chain_runs_through_every_mode_and_format(tmp_path, capsys):
-    # 12,000 levels parse under the CLI's limit; nothing after the parser
-    # recurses, so every mode and format runs to its documented exit code.
-    src = write(tmp_path, "in.fqbf", _imp_chain(12_000))
+    # A 10^5-deep chain at the default recursion limit: nothing from the
+    # parser on recurses.  Each mode and each format runs once, to keep the
+    # test short; the parentheses below run every pair.
+    src = write(tmp_path, "in.fqbf", _imp_chain(100_000))
+    for mode, fmt in (("sat", "fqbf"), ("valid", "qcir"), ("mc", "qdimacs")):
+        out = str(tmp_path / f"out.{mode}.{fmt}")
+        code = run(["prenex", src, "--mode", mode, "--format", fmt, "--out", out])
+        _expect_documented_exit(code, capsys.readouterr(), mode, fmt, "200003")
+    # 10^5 free names: the oracle refuses after the transform ran.
+    assert run(["check", src, "--mode", "mc"]) == 3
+    assert capsys.readouterr().err.startswith("error: oracle refuses")
+
+
+def test_deep_parentheses_run_through_every_mode_and_format(tmp_path, capsys):
+    text = "(" * 100_000 + "a xor (exists x . x & b)" + ")" * 100_000
+    src = write(tmp_path, "in.fqbf", text)
     for mode in ("sat", "valid", "mc"):
         for fmt in ("fqbf", "qcir", "qdimacs"):
             out = str(tmp_path / f"out.{mode}.{fmt}")
             code = run(["prenex", src, "--mode", mode, "--format", fmt, "--out", out])
-            captured = capsys.readouterr()
-            if mode == "mc" and fmt != "fqbf":
-                assert code == 1
-                assert captured.out == ""
-                assert "needs a prenex formula" in captured.err
-                assert captured.err.count("\n") == 1
-            else:
-                assert code == 0, captured.err
-                assert metrics_of(captured.out)["input_length"] == "24003"
-    # 12,000 free names: the oracle refuses after the transform ran.
-    assert run(["check", src, "--mode", "mc"]) == 3
-    assert capsys.readouterr().err.startswith("error: oracle refuses")
+            _expect_documented_exit(code, capsys.readouterr(), mode, fmt, "7")
+        assert run(["check", src, "--mode", mode]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
 
 
 def test_memory_fault_is_one_line_with_exit_2(capsys, monkeypatch):
@@ -219,6 +238,46 @@ def test_memory_fault_is_one_line_with_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_gen", exhausted)
     assert run(["gen"]) == 2
     assert capsys.readouterr().err == "error: MemoryError: out of memory\n"
+
+
+class TestInputErrors:
+    """Bad files and arguments end in one ``error:`` line with exit 1."""
+
+    def _fails_with_one_line(self, args, capsys, text):
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert text in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_non_utf8_input_to_prenex(self, tmp_path, capsys):
+        src = tmp_path / "in.fqbf"
+        src.write_bytes(b"a & \xff")
+        self._fails_with_one_line(["prenex", str(src)], capsys, "not UTF-8")
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_utf8_input_to_check(self, tmp_path, capsys, position):
+        good = write(tmp_path, "good.fqbf", "exists x . x")
+        bad = tmp_path / "bad.fqbf"
+        bad.write_bytes(b"\xfe\xff exists x . x")
+        files = [good, good]
+        files[position] = str(bad)
+        self._fails_with_one_line(["check", *files], capsys, "bad.fqbf is not UTF-8")
+
+    def test_prenex_out_into_missing_directory(self, tmp_path, capsys):
+        src = write(tmp_path, "in.fqbf", "exists x . x")
+        out = str(tmp_path / "missing" / "out.fqbf")
+        self._fails_with_one_line(
+            ["prenex", src, "--out", out], capsys, "No such file or directory"
+        )
+
+    def test_gen_without_variables(self, capsys):
+        self._fails_with_one_line(["gen", "--vars", "0"], capsys, "--vars must be at least 1")
+
+    def test_absurd_declared_arity(self, tmp_path, capsys):
+        src = write(tmp_path, "in.fqbf", "op f/20000 : 01 ; f(a)")
+        self._fails_with_one_line(["prenex", src], capsys, "expected 2^20000 for arity 20000")
 
 
 class TestGenCommand:

@@ -35,7 +35,7 @@ from qprenex.semantics import (
     satisfiable,
     valid,
 )
-from qprenex.transform import prenex, prenex_mc
+from qprenex.transform import SizeBudgetExceeded, naive_prenex, prenex, prenex_mc
 
 from helpers import cli_outputs, oracle_problem, worked_example
 
@@ -319,6 +319,10 @@ def test_pipeline_leaves_no_cyclic_garbage():
             for mode in ("sat", "valid", "mc"):
                 for fmt in ("fqbf", "qcir", "qdimacs"):
                     cli_outputs(problem, mode, fmt)
+            try:
+                naive_prenex(problem.formula)
+            except SizeBudgetExceeded:
+                pass
         for phi, table in [(p.formula, p.table) for p in small] + [
             (wide.formula, wide.table)
         ]:

@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
 from qprenex.core import App, Kind, Quant, Var, exists, length
-from qprenex.generate import random_problem
+from qprenex.generate import nested_iff_family, random_problem
 from qprenex.parser import (
     OpDecl,
     ParseError,
@@ -13,6 +14,9 @@ from qprenex.parser import (
     parse_formula,
 )
 from qprenex.semantics import Valuation, evaluate
+
+from helpers import criterion_4_corpus, reference_parse
+from test_golden import golden_corpora
 
 
 class TestGrammar:
@@ -135,6 +139,30 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse("")
 
+    @pytest.mark.parametrize(
+        "arity, column, message",
+        [
+            # 2 ** arity is never built: its digits overflow int-to-str, or
+            # take minutes, or exhaust memory.
+            ("20000", 14, "has 2 bits, expected 2^20000 for arity 20000"),
+            ("4000000000", 19, "expected 2^4000000000 for arity 4000000000"),
+            ("40000000000000", 23, "for arity 40000000000000"),
+            ("9" * 5000, 5009, "has 2 bits, expected 2^999"),
+            ("0003", 13, "has 2 bits, expected 8 for arity 3"),
+            # Only ASCII digits are numbers.
+            ("\u0662", 6, "unexpected character '\u0662'"),
+        ],
+        ids=["20000", "4e9", "4e13", "5000_digits", "leading_zeros", "arabic_indic"],
+    )
+    def test_declared_arity_checked_against_bit_count(self, arity, column, message):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse(f"op f/{arity} : 01 ; f(p)")
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_arity_with_leading_zeros(self):
+        problem = parse("op f/002 : 0110 ; f(p, q)")
+        assert problem.declarations == (OpDecl("f", 2, "0110"),)
+
 
 class TestPrinter:
     def test_canonical_iff(self):
@@ -192,3 +220,69 @@ class TestPrinter:
             again = parse_formula(printed, problem.table, allow_internal_names=True)
             assert again == result
             checked += 1
+
+
+def _outcome(read, text, allow_internal_names):
+    try:
+        problem = read(text, allow_internal_names=allow_internal_names)
+    except ParseError as err:
+        return str(err), err.line, err.column
+    return problem.formula, problem.declarations
+
+
+def _mutants(rng, text):
+    """A truncation and two edits of one to three characters or tokens."""
+    yield text[: rng.randrange(len(text) + 1)]
+    pieces = list("()~&|,.;:/<->@# \n\t0123abxy\u0662") + [
+        " xor ", "exists ", "forall ", "true", "false", "op ", "maj(", "f/2", "\r\n",
+    ]
+    for _ in range(2):
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(chars) + 1)
+            edit = rng.random()
+            if edit < 1 / 3 and at < len(chars):
+                del chars[at]
+            elif edit < 2 / 3 or at == len(chars):
+                chars.insert(at, rng.choice(pieces))
+            else:
+                chars[at] = rng.choice(pieces)
+        yield "".join(chars)
+
+
+class TestReferenceParser:
+    """Precedence climbing against the recursive-descent reference: the same
+    formula and declarations, or the same error at the same position."""
+
+    def test_same_trees_on_corpora(self):
+        texts = [format_problem(p) for p in criterion_4_corpus()]
+        texts += [format_problem(p) for ps in golden_corpora().values() for p in ps]
+        for text in texts:
+            assert _outcome(parse, text, False) == _outcome(reference_parse, text, False)
+
+    def test_same_errors_on_truncated_and_mutated_inputs(self):
+        rng = random.Random(6)
+        sources = [format_problem(p) for p in criterion_4_corpus()[::20]]
+        sources += [format_problem(p) for ps in golden_corpora().values() for p in ps]
+        sources += [
+            "op g/2 : 0110 ; op k/0 : 1 ;\n(exists x y . g(x, forall z . z)) -> k()",
+            "# comment\n~~a -> b <-> c -> d xor e | f & ~g",
+        ]
+        errors = 0
+        for source in sources:
+            for text in _mutants(rng, source):
+                allow = rng.random() < 0.5
+                expected = _outcome(reference_parse, text, allow)
+                assert _outcome(parse, text, allow) == expected, text
+                errors += isinstance(expected[0], str)
+        assert errors > len(sources)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["~" * 100_000 + "(forall x . x)", format_formula(nested_iff_family(10_000))],
+    ids=["negations_100k", "nested_iff_10k"],
+)
+def test_deep_text_at_default_recursion_limit(text):
+    # Compared through printed text: dataclass equality recurses.
+    assert format_formula(parse_formula(text)) == text

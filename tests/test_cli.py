@@ -206,15 +206,27 @@ def _expect_documented_exit(code, captured, mode, fmt, input_length):
 
 
 def test_deep_chain_runs_through_every_mode_and_format(tmp_path, capsys):
-    # A 10^5-deep chain at the default recursion limit: nothing from the
-    # parser on recurses.  Each mode and each format runs once, to keep the
-    # test short; the parentheses below run every pair.
+    # 12,000 levels at the default recursion limit: no stage recurses, so
+    # every mode and format runs to its documented exit code.
+    src = write(tmp_path, "in.fqbf", _imp_chain(12_000))
+    for mode in ("sat", "valid", "mc"):
+        for fmt in ("fqbf", "qcir", "qdimacs"):
+            out = str(tmp_path / f"out.{mode}.{fmt}")
+            code = run(["prenex", src, "--mode", mode, "--format", fmt, "--out", out])
+            _expect_documented_exit(code, capsys.readouterr(), mode, fmt, "24003")
+    # 12,000 free names: the oracle refuses after the transform ran.
+    assert run(["check", src, "--mode", "mc"]) == 3
+    assert capsys.readouterr().err.startswith("error: oracle refuses")
+
+
+def test_100k_deep_chain_runs_through_each_mode_and_format(tmp_path, capsys):
+    # The same at 10^5 levels, each mode and each format once to keep the
+    # test short; the test above runs all nine pairs.
     src = write(tmp_path, "in.fqbf", _imp_chain(100_000))
     for mode, fmt in (("sat", "fqbf"), ("valid", "qcir"), ("mc", "qdimacs")):
         out = str(tmp_path / f"out.{mode}.{fmt}")
         code = run(["prenex", src, "--mode", mode, "--format", fmt, "--out", out])
         _expect_documented_exit(code, capsys.readouterr(), mode, fmt, "200003")
-    # 10^5 free names: the oracle refuses after the transform ran.
     assert run(["check", src, "--mode", "mc"]) == 3
     assert capsys.readouterr().err.startswith("error: oracle refuses")
 

@@ -149,10 +149,23 @@ class TestErrors:
             ("40000000000000", 23, "for arity 40000000000000"),
             ("9" * 5000, 5009, "has 2 bits, expected 2^999"),
             ("0003", 13, "has 2 bits, expected 8 for arity 3"),
+            ("10", 11, "has 2 bits, expected 1024 for arity 10"),
+            ("9999", 13, f"has 2 bits, expected {1 << 9999} for arity 9999"),
+            ("10000", 14, "has 2 bits, expected 2^10000 for arity 10000"),
             # Only ASCII digits are numbers.
             ("\u0662", 6, "unexpected character '\u0662'"),
         ],
-        ids=["20000", "4e9", "4e13", "5000_digits", "leading_zeros", "arabic_indic"],
+        ids=[
+            "20000",
+            "4e9",
+            "4e13",
+            "5000_digits",
+            "leading_zeros",
+            "10",
+            "9999",
+            "10000",
+            "arabic_indic",
+        ],
     )
     def test_declared_arity_checked_against_bit_count(self, arity, column, message):
         with pytest.raises(ParseError, match=re.escape(message)) as err:

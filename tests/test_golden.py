@@ -3,8 +3,11 @@
 Each digest covers one (corpus, mode, format, artifact) combination: the
 sha256 over the outputs of every input in the corpus, in order, exactly as
 ``qprenex prenex`` would write them (formula file and ``.map`` sidecar).
-A change that alters any output byte fails here.  Only a change meant to
-alter output may regenerate the file, with
+The text of the naive baseline is pinned per corpus too (``nested_iff`` up
+to k = 10, with a budget of 20,000 and ``BUDGET`` where it is exceeded): its
+case splits run through the constant folder.  A change that alters any
+output byte fails here.  Only a change meant to alter output may regenerate
+the file, with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -21,13 +24,15 @@ from pathlib import Path
 
 from qprenex.core import OperatorTable
 from qprenex.generate import nested_iff_family, random_problem
-from qprenex.parser import Problem
+from qprenex.parser import Problem, format_formula
+from qprenex.transform import SizeBudgetExceeded, naive_prenex
 
 from helpers import cli_outputs
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 MODES = ("sat", "valid", "mc")
 FORMATS = ("fqbf", "qcir", "qdimacs")
+NAIVE_BUDGET = 20_000
 
 
 def golden_corpora() -> dict[str, list[Problem]]:
@@ -56,7 +61,20 @@ def compute_digests() -> dict[str, str]:
                     map_hash.update(sidecar.encode() + b"\0")
                 digests[f"{corpus}/{mode}/{fmt}/text"] = text_hash.hexdigest()
                 digests[f"{corpus}/{mode}/{fmt}/map"] = map_hash.hexdigest()
+    for corpus, problems in golden_corpora().items():
+        naive_hash = hashlib.sha256()
+        for problem in problems[:10] if corpus == "nested_iff" else problems:
+            naive_hash.update(naive_text(problem).encode() + b"\0")
+        digests[f"{corpus}/naive/text"] = naive_hash.hexdigest()
     return digests
+
+
+def naive_text(problem: Problem) -> str:
+    """The baseline's prenex text, or ``BUDGET`` where it outgrows the budget."""
+    try:
+        return format_formula(naive_prenex(problem.formula, budget=NAIVE_BUDGET))
+    except SizeBudgetExceeded:
+        return "BUDGET"
 
 
 def test_golden_digests():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 RESERVED_CHAR = "@"
 
@@ -44,9 +44,6 @@ class App:
 
     op: str
     args: tuple["Formula", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
 
 
 @dataclass(frozen=True)
@@ -148,9 +145,6 @@ class OperatorTable:
             raise ValueError(f"operator '{name}' expects {arity} arguments, got {n}")
         return table[index]
 
-    def user_names(self) -> tuple[str, ...]:
-        return tuple(n for n in self._entries if n not in BUILTIN_OPERATORS)
-
     def _entry(self, name: str) -> tuple[int, tuple[int, ...]]:
         try:
             return self._entries[name]
@@ -216,8 +210,9 @@ def big_conj(items: Iterable[Formula]) -> Formula:
 # No walk over a formula recurses: transformed and especially naively
 # prenexed formulas can nest far deeper than the recursion limit.  Every
 # rewrite is a node rule passed to the one explicit-stack loop in :func:`fold`
-# (a catamorphism: Meijer, Fokkinga & Paterson, FPCA 1991); the metrics below,
-# which only accumulate, are plain stack loops of their own.
+# (a catamorphism: Meijer, Fokkinga & Paterson, FPCA 1991).  The metrics
+# that only accumulate loop over :func:`nodes`; those that track quantifier
+# scope (qdepth, free_vars) keep a stack loop of their own.
 
 _LEAVE = object()  # stack marker: the node below it has all its kids' values
 
@@ -265,24 +260,31 @@ def fold(
 # Metrics
 
 
+def nodes(phi: Formula) -> Iterator[Formula]:
+    """Every node of ``phi``, each before its children.
+
+    The order among siblings and subtrees is unspecified.
+    """
+    stack = [phi]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        f = pop()
+        yield f
+        if type(f) is App:
+            extend(f.args)
+        elif type(f) is Quant:
+            push(f.body)
+
+
 def length(phi: Formula) -> int:
     """Symbol count: variables and operators weigh 1, negations weigh 0,
     a quantifier block weighs 1 plus its number of variables."""
     total = 0
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Var):
-            total += 1
-        elif isinstance(f, App):
-            if f.op == "not":
-                stack.append(f.args[0])
-            else:
-                total += 1
-                stack.extend(f.args)
-        else:
+    for f in nodes(phi):
+        if type(f) is Quant:
             total += 1 + len(f.block)
-            stack.append(f.body)
+        elif type(f) is Var or f.op != "not":
+            total += 1
     return total
 
 
@@ -304,45 +306,22 @@ def qdepth(phi: Formula) -> int:
 
 def nblock(phi: Formula) -> int:
     """Number of quantifier block occurrences."""
-    count = 0
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Quant):
-            count += 1
-            stack.append(f.body)
-        elif isinstance(f, App):
-            stack.extend(f.args)
-    return count
+    return sum(1 for f in nodes(phi) if type(f) is Quant)
 
 
 def nbvar(phi: Formula) -> int:
     """Total number of quantified variables, summed over block occurrences."""
-    count = 0
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Quant):
-            count += len(f.block)
-            stack.append(f.body)
-        elif isinstance(f, App):
-            stack.extend(f.args)
-    return count
+    return sum(len(f.block) for f in nodes(phi) if type(f) is Quant)
 
 
 def vars_of(phi: Formula) -> frozenset[str]:
     """All occurring variables; a mention in a block counts as an occurrence."""
     seen: set[str] = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Var):
+    for f in nodes(phi):
+        if type(f) is Var:
             seen.add(f.name)
-        elif isinstance(f, App):
-            stack.extend(f.args)
-        else:
+        elif type(f) is Quant:
             seen.update(f.block)
-            stack.append(f.body)
     return frozenset(seen)
 
 
@@ -374,28 +353,12 @@ def free_vars(phi: Formula) -> frozenset[str]:
 
 def bound_vars(phi: Formula) -> frozenset[str]:
     """Variables mentioned in some quantifier block (mentions count as bound)."""
-    bound: set[str] = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Quant):
-            bound.update(f.block)
-            stack.append(f.body)
-        elif isinstance(f, App):
-            stack.extend(f.args)
-    return frozenset(bound)
+    return frozenset(x for f in nodes(phi) if type(f) is Quant for x in f.block)
 
 
 def is_boolean(phi: Formula) -> bool:
     """True iff the formula contains no quantifier."""
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Quant):
-            return False
-        if isinstance(f, App):
-            stack.extend(f.args)
-    return True
+    return not any(type(f) is Quant for f in nodes(phi))
 
 
 def is_prenex(phi: Formula) -> bool:
@@ -475,69 +438,41 @@ def is_free_for(phi: Formula, key: str, replacement: Formula) -> bool:
 # Constant folding
 
 
-def _negated(a: Formula) -> Formula:
-    if a == TRUE:
-        return FALSE
-    if a == FALSE:
-        return TRUE
-    return App("not", (a,))
-
-
 def fold_app(
     op: str, args: tuple[Formula, ...], table: OperatorTable = DEFAULT_TABLE
 ) -> Formula:
     """Constant-fold one application of ``op`` to already folded ``args``.
 
-    ``true``/``false`` propagate through the built-in connectives; any other
-    operator of ``table`` folds only when all its arguments are constant.
+    The result is read off ``op``'s truth table.  With every argument
+    constant it is the table entry.  A built-in connective with one open
+    argument ``a`` becomes ``false``, ``true``, ``a`` or ``~a``, whichever
+    the two rows that ``a`` still chooses between spell.  Anything else,
+    including a user operator with an open argument or an operator unknown
+    to ``table``, stays as it is.
     """
-    if op == "not":
-        return _negated(args[0])
-    if op in ("and", "or", "imp", "iff", "xor"):
-        a, b = args
-        if op == "and":
-            if a == FALSE or b == FALSE:
-                return FALSE
-            if a == TRUE:
-                return b
-            if b == TRUE:
-                return a
-        elif op == "or":
-            if a == TRUE or b == TRUE:
-                return TRUE
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-        elif op == "imp":
-            if a == FALSE or b == TRUE:
-                return TRUE
-            if a == TRUE:
-                return b
-            if b == FALSE:
-                return _negated(a)
-        elif op == "iff":
-            if a == TRUE:
-                return b
-            if b == TRUE:
-                return a
-            if a == FALSE:
-                return _negated(b)
-            if b == FALSE:
-                return _negated(a)
-        else:  # xor
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-            if a == TRUE:
-                return _negated(b)
-            if b == TRUE:
-                return _negated(a)
-    elif table.has(op) and all(x in (TRUE, FALSE) for x in args):
-        value = table.apply(op, [1 if x == TRUE else 0 for x in args])
-        return TRUE if value else FALSE
-    return App(op, args)
+    index = 0  # the arguments read as a binary number, the open one as 0
+    hole = 0  # the open argument's bit in ``index``; 0 while none is open
+    for a in args:
+        index <<= 1
+        hole <<= 1
+        if a == TRUE:
+            index |= 1
+        elif a != FALSE:
+            if hole or op not in BUILTIN_OPERATORS:
+                return App(op, args)
+            hole = 1
+            rest = a
+    if not table.has(op):
+        return App(op, args)
+    rows = table.truth_table(op)
+    if len(rows) != 1 << len(args):
+        raise ValueError(
+            f"operator '{op}' expects {table.arity(op)} arguments, got {len(args)}"
+        )
+    low = rows[index]
+    if not hole or low == rows[index | hole]:
+        return TRUE if low else FALSE
+    return neg(rest) if low else rest
 
 
 def fold_constants(phi: Formula, table: OperatorTable | None = None) -> Formula:

@@ -205,16 +205,22 @@ def _declarations(
     return decls, i
 
 
-# Binary operators: token type -> (precedence, operator, reduce-from).  On
-# reading one, every pending operator of precedence at least ``reduce-from``
-# is applied first: its own precedence for the left-associative operators,
-# one above it for the right-associative ``->``.
+# Binary operators, loosest first: (token, operator, precedence, right-
+# associative).  Precedence 0 is the quantifiers', 6 the negation's.
+_INFIX_OPERATORS = (
+    ("<->", "iff", 1, False),
+    ("->", "imp", 2, True),
+    ("xor", "xor", 3, False),
+    ("|", "or", 4, False),
+    ("&", "and", 5, False),
+)
+# Token type -> (precedence, operator, reduce-from).  On reading a binary
+# operator, every pending operator of precedence at least ``reduce-from`` is
+# applied first: its own precedence if it is left-associative, one above it
+# if right-associative.
 _BINARY = {
-    "<->": (1, "iff", 1),
-    "->": (2, "imp", 3),
-    "xor": (3, "xor", 3),
-    "|": (4, "or", 4),
-    "&": (5, "and", 5),
+    token: (level, op, level + right)
+    for token, op, level, right in _INFIX_OPERATORS
 }
 # Other operator-stack entries, by precedence: ``~`` binds tightest;
 # quantifier heads (0, kind, block) are weakest and close only at ``)``,
@@ -363,25 +369,12 @@ def parse_formula(
 # ---------------------------------------------------------------------------
 # Printer
 
-# Precedence levels; higher binds tighter.  Quantifiers are weakest and are
-# parenthesized whenever they appear as an operator argument.
-_LEVEL_QUANT = 0
-_LEVEL_IFF = 1
-_LEVEL_IMP = 2
-_LEVEL_XOR = 3
-_LEVEL_OR = 4
-_LEVEL_AND = 5
-_LEVEL_NEG = 6
-_LEVEL_ATOM = 7
-
-# op -> (spaced symbol, level, minimum levels of the left and right argument);
-# ``->`` is right-associative, the others left-associative.
+# op -> (spaced symbol, level, minimum levels of the left and right
+# argument), from the precedences the reader uses.  Quantifiers, at level 0,
+# are parenthesized whenever they appear as an operator argument.
 _INFIX = {
-    "iff": (" <-> ", _LEVEL_IFF, _LEVEL_IFF, _LEVEL_IFF + 1),
-    "imp": (" -> ", _LEVEL_IMP, _LEVEL_IMP + 1, _LEVEL_IMP),
-    "xor": (" xor ", _LEVEL_XOR, _LEVEL_XOR, _LEVEL_XOR + 1),
-    "or": (" | ", _LEVEL_OR, _LEVEL_OR, _LEVEL_OR + 1),
-    "and": (" & ", _LEVEL_AND, _LEVEL_AND, _LEVEL_AND + 1),
+    op: (f" {token} ", level, level + right, level + (not right))
+    for token, op, level, right in _INFIX_OPERATORS
 }
 
 
@@ -394,7 +387,7 @@ def format_formula(phi: Formula) -> str:
     # Pre-order emission: the stack holds pending (subformula, minimum level)
     # pairs and literal text, so precedence flows top-down without recursion.
     out: list[str] = []
-    stack: list = [(phi, _LEVEL_QUANT)]
+    stack: list = [(phi, 0)]
     emit, push, pop = out.append, stack.append, stack.pop
     while stack:
         item = pop()
@@ -409,12 +402,12 @@ def format_formula(phi: Formula) -> str:
                 # No surface syntax: empty blocks arise only programmatically.
                 raise ValueError("cannot print an empty quantifier block")
             head = f"{f.kind.value} {' '.join(f.block)} . "
-            if minimum > _LEVEL_QUANT:
+            if minimum > 0:
                 emit("(" + head)
                 push(")")
             else:
                 emit(head)
-            push((f.body, _LEVEL_QUANT))
+            push((f.body, 0))
         elif f.op in _INFIX and len(f.args) == 2:
             symbol, level, left, right = _INFIX[f.op]
             if minimum > level:
@@ -425,14 +418,14 @@ def format_formula(phi: Formula) -> str:
             push((f.args[0], left))
         elif f.op == "not":
             emit("~")
-            push((f.args[0], _LEVEL_NEG))
+            push((f.args[0], _NEG[0]))
         elif f.op in ("true", "false"):
             emit(f.op)
         else:
             emit(f"{f.op}(")
             push(")")
             for i in reversed(range(len(f.args))):
-                push((f.args[i], _LEVEL_QUANT))
+                push((f.args[i], 0))
                 if i:
                     push(", ")
     return "".join(out)

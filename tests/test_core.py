@@ -1,9 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from qprenex.core import (
+    App,
+    BUILTIN_OPERATORS,
     CaptureError,
+    FALSE,
     FreshGen,
     Kind,
     OperatorTable,
@@ -16,6 +20,7 @@ from qprenex.core import (
     classify_name,
     conj,
     exists,
+    fold_app,
     fold_constants,
     forall,
     free_vars,
@@ -26,6 +31,7 @@ from qprenex.core import (
     nblock,
     nbvar,
     neg,
+    nodes,
     neg_copy,
     pos_copy,
     qdepth,
@@ -248,6 +254,67 @@ class TestFoldConstants:
 
     def test_fully_constant(self):
         assert fold_constants(parse_formula("true & (false -> true)")) == TRUE
+
+
+def _user_table():
+    table = OperatorTable()
+    table.add("maj", 3, (0, 0, 0, 1, 0, 1, 1, 1))
+    table.add("odd", 3, (0, 1, 1, 0, 1, 0, 0, 1))
+    table.add("one", 0, (1,))
+    table.add("zero", 0, (0,))
+    return table
+
+
+class TestFoldApp:
+    """Every argument tuple over a small pool, for every operator."""
+
+    POOL = tuple(
+        parse_formula(text)
+        for text in ("true", "false", "x", "y", "~x", "x & y", "exists z . z | x")
+    )
+
+    def _check_all(self, table, names):
+        for op in names:
+            for args in itertools.product(self.POOL, repeat=table.arity(op)):
+                folded = fold_app(op, args, table)
+                original = App(op, args)
+                assert equivalent(original, folded, table), (op, args)
+                open_args = [a for a in args if a not in (TRUE, FALSE)]
+                if not open_args:
+                    assert folded in (TRUE, FALSE), (op, args)
+                elif len(open_args) == 1 and op in BUILTIN_OPERATORS:
+                    a = open_args[0]
+                    assert folded in (TRUE, FALSE, a, neg(a)), (op, args)
+                else:
+                    assert folded == original, (op, args)
+
+    def test_builtins(self):
+        self._check_all(OperatorTable(), BUILTIN_OPERATORS)
+
+    def test_user_operators_of_arity_zero_and_three(self):
+        self._check_all(_user_table(), ("maj", "odd", "one", "zero"))
+
+    def test_unknown_operator_stays(self):
+        assert fold_app("maj", (TRUE, TRUE, FALSE)) == App("maj", (TRUE, TRUE, FALSE))
+        assert fold_app("one", ()) == App("one", ())
+        assert fold_app("one", (), _user_table()) == TRUE
+
+    def test_arity_mismatch_is_refused(self):
+        with pytest.raises(ValueError, match="expects 3 arguments, got 2"):
+            fold_app("maj", (TRUE, FALSE), _user_table())
+
+
+class TestNodes:
+    def test_every_node_once_parents_first(self):
+        phi = parse_formula("(exists x . a & ~(exists x y . b)) & maj(c, true, d)",
+                            _user_table())
+        seen = list(nodes(phi))
+        assert len(seen) == 11
+        assert seen[0] is phi
+        for position, f in enumerate(seen):
+            kids = f.args if isinstance(f, App) else (f.body,) if isinstance(f, Quant) else ()
+            for kid in kids:
+                assert any(g is kid for g in seen[position + 1 :])
 
 
 class TestFreshGen:

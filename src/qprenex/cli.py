@@ -28,17 +28,11 @@ from .core import (
     neg,
     qdepth,
 )
-from .export import (
-    Manifest,
-    NotPrenex,
-    lower_operators,
-    manifest_for_text_export,
-    to_qcir,
-    to_qdimacs,
-)
+from .export import Manifest, NotPrenex, export_text
 from .generate import nested_iff_family, random_problem
 from .parser import ParseError, Problem, format_problem, parse
 from .semantics import (
+    DEFAULT_ORACLE_CAP,
     RefusalError,
     Valuation,
     find_disagreement,
@@ -119,28 +113,12 @@ def cmd_prenex(args: argparse.Namespace) -> int:
     )
     manifest = Manifest(mode=args.mode, digest=_digest(args.input))
     try:
-        if args.format == "fqbf":
-            manifest_for_text_export(result, manifest)
-            text = format_problem(
-                Problem(problem.declarations, result, problem.table)
-            )
-        else:
-            matrix_ready = lower_operators(result, problem.table)
-            if args.format == "qcir":
-                text = to_qcir(matrix_ready, problem.table, manifest)
-            else:
-                text = to_qdimacs(
-                    matrix_ready,
-                    problem.table,
-                    mode="valid" if args.mode == "valid" else "sat",
-                    manifest=manifest,
-                )
+        text = export_text(problem, result, args.format, manifest)
     except NotPrenex as err:
         print(f"error: {err} (mc output is a boolean combination; "
               f"use --format fqbf)", file=sys.stderr)
         return EXIT_INPUT
-    out_path.write_text(text + ("\n" if not text.endswith("\n") else ""),
-                        encoding="utf-8")
+    out_path.write_text(text, encoding="utf-8")
     Path(str(out_path) + ".map").write_text(manifest.render(), encoding="utf-8")
 
     print(
@@ -178,9 +156,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     formula = problem.formula
     table = problem.table
     cap = args.oracle_cap
-    if transformed is None:
-        transformed = _transform(args.mode, formula, FreshGen.for_formula(formula))
     try:
+        if transformed is None:
+            # Every mode's oracle enumerates at least the input's free names
+            # (sat and valid query the input first; mc's output has the same
+            # free names), so an input past the cap is refused untransformed.
+            needed = len(free_vars(formula))
+            if needed > cap:
+                raise RefusalError(needed, cap)
+            transformed = _transform(args.mode, formula, FreshGen.for_formula(formula))
         if args.mode == "mc":
             witness = find_disagreement(formula, transformed, table, cap)
             if witness is None:
@@ -320,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="previously exported .fqbf to compare against "
                    "(default: transform the input in-process)")
     common(p)
-    p.add_argument("--oracle-cap", type=int, default=24)
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="emit a seeded random problem")

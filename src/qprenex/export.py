@@ -37,7 +37,7 @@ from .core import (
     prefix_blocks,
     vars_of,
 )
-from .parser import format_formula
+from .parser import Problem, format_formula, format_problem
 
 #: Operators the QCIR/QDIMACS writers encode natively.
 CORE_EXPORT_OPS = frozenset(
@@ -150,7 +150,6 @@ def _numbered_variables(
     matrix, and the highest id handed out.
     """
     blocks, matrix = prefix_blocks(phi)
-    bound = {x for _, names in blocks for x in names}
     ids: dict[str, int] = {}
     top = 0
 
@@ -162,7 +161,7 @@ def _numbered_variables(
             manifest.record_name(str(top), name)
         return top
 
-    free = [assign(name) for name in sorted(free_vars(phi) - bound)]
+    free = [assign(name) for name in sorted(free_vars(phi))]
     numbered = [
         (kind, [assign(x) for x in names]) for kind, names in blocks if names
     ]
@@ -310,3 +309,21 @@ def manifest_for_text_export(phi: Formula, manifest: Manifest) -> None:
     """Record every variable of a formula exported as text, under its own name."""
     for name in sorted(vars_of(phi)):
         manifest.record_name(name, name)
+
+
+def export_text(problem: Problem, result: Formula, fmt: str, manifest: Manifest) -> str:
+    """The file ``qprenex prenex`` writes for ``result``, the transform of
+    ``problem`` in ``manifest.mode``, as ``fmt`` (``fqbf``, ``qcir`` or
+    ``qdimacs``), ending in a newline; records the emitted variables in
+    ``manifest``.  Raises :class:`NotPrenex` for QCIR or QDIMACS of a
+    formula that is not prenex.
+    """
+    if fmt == "fqbf":
+        manifest_for_text_export(result, manifest)
+        text = format_problem(Problem(problem.declarations, result, problem.table))
+        return text + "\n"
+    lowered = lower_operators(result, problem.table)
+    if fmt == "qcir":
+        return to_qcir(lowered, problem.table, manifest)
+    mode = "valid" if manifest.mode == "valid" else "sat"
+    return to_qdimacs(lowered, problem.table, mode=mode, manifest=manifest)

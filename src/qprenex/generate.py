@@ -80,16 +80,6 @@ def random_formula(
     return build(max(1, max_size), max_depth)
 
 
-def random_boolean(
-    rng: random.Random,
-    *,
-    pool: Sequence[str] = DEFAULT_POOL,
-    max_size: int = 12,
-    ops: Sequence[tuple[str, int, float]] = DEFAULT_OPS,
-) -> Formula:
-    return random_formula(rng, pool=pool, max_depth=0, max_size=max_size, ops=ops)
-
-
 def random_problem(
     rng: random.Random,
     *,

@@ -21,14 +21,8 @@ from qprenex.core import (
     nbvar,
     substitute,
 )
-from qprenex.export import (
-    Manifest,
-    NotPrenex,
-    lower_operators,
-    manifest_for_text_export,
-    to_qcir,
-    to_qdimacs,
-)
+from qprenex.cli import _transform
+from qprenex.export import Manifest, NotPrenex, export_text
 from qprenex.generate import random_formula, random_problem
 from qprenex.parser import (
     KEYWORDS,
@@ -40,8 +34,6 @@ from qprenex.parser import (
 )
 from qprenex.transform import (
     decompose_outermost,
-    prenex,
-    prenex_mc,
     step_transform,
 )
 
@@ -146,30 +138,16 @@ def layered_prenex_mc(phi: Formula, gen: FreshGen) -> Formula:
 
 
 def cli_outputs(problem: Problem, mode: str, fmt: str) -> tuple[str, str]:
-    """The formula file and ``.map`` text the CLI writes for one input."""
+    """The formula file and ``.map`` text the CLI writes for one input, made
+    by the functions ``qprenex prenex`` calls."""
     source = format_problem(problem) + "\n"
     formula = problem.formula
-    gen = FreshGen.for_formula(formula)
-    if mode == "mc":
-        result = prenex_mc(formula, gen)
-    else:
-        result = prenex(Kind.EXISTS if mode == "sat" else Kind.FORALL, formula, gen)
+    result = _transform(mode, formula, FreshGen.for_formula(formula))
     manifest = Manifest(mode=mode, digest=hashlib.sha256(source.encode()).hexdigest())
     try:
-        if fmt == "fqbf":
-            manifest_for_text_export(result, manifest)
-            text = format_problem(Problem(problem.declarations, result, problem.table))
-        else:
-            lowered = lower_operators(result, problem.table)
-            if fmt == "qcir":
-                text = to_qcir(lowered, problem.table, manifest)
-            else:
-                qmode = "valid" if mode == "valid" else "sat"
-                text = to_qdimacs(lowered, problem.table, mode=qmode, manifest=manifest)
+        text = export_text(problem, result, fmt, manifest)
     except NotPrenex:
         return "NotPrenex\n", "NotPrenex\n"
-    if not text.endswith("\n"):
-        text += "\n"
     return text, manifest.render()
 
 

@@ -172,6 +172,20 @@ class TestCheckCommand:
         src = write(tmp_path, "in.fqbf", "a | b | c")
         assert run(["check", src, "--oracle-cap", "2"]) == 3
 
+    @pytest.mark.parametrize("mode", ["sat", "valid", "mc"])
+    def test_refuses_before_transforming(self, tmp_path, capsys, monkeypatch, mode):
+        def transform(mode, formula, gen):
+            raise AssertionError("transformed an input the oracle refuses")
+
+        monkeypatch.setattr(cli, "_transform", transform)
+        src = write(tmp_path, "in.fqbf", "a & (exists x . x | b) & c")
+        assert run(["check", src, "--mode", mode, "--oracle-cap", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: oracle refuses to enumerate 3 free variables (cap 2)\n"
+        )
+
 
 def _imp_chain(depth):
     return " -> ".join(f"p{i}" for i in range(depth)) + " -> (exists x . x)"

@@ -31,8 +31,8 @@ from qprenex.core import (
     nblock,
     nbvar,
     neg,
-    nodes,
     neg_copy,
+    nodes,
     pos_copy,
     qdepth,
     substitute,

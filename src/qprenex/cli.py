@@ -138,6 +138,8 @@ def cmd_prenex(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.oracle_cap < 0:
+        raise _InputError(f"--oracle-cap must be at least 0, got {args.oracle_cap}")
     try:
         problem = _read_problem(args.input, args.allow_internal_names)
         if args.transformed is not None:

@@ -116,10 +116,14 @@ class OperatorTable:
         table = tuple(int(b) for b in bits)
         if arity < 0:
             raise ValueError(f"operator '{name}': negative arity")
-        if len(table) != 2**arity:
+        size = len(table)
+        # Only arity ``size.bit_length() - 1`` fits, so ``2 ** arity`` is
+        # never computed for an absurd arity; spelled out below 10,000.
+        if arity != size.bit_length() - 1 or size != 1 << arity:
+            expected = 1 << arity if arity < 10_000 else f"2^{arity}"
             raise ValueError(
-                f"operator '{name}': truth table has {len(table)} entries, "
-                f"expected {2 ** arity}"
+                f"operator '{name}': truth table has {size} entries, "
+                f"expected {expected}"
             )
         if any(b not in (0, 1) for b in table):
             raise ValueError(f"operator '{name}': truth table entries must be 0 or 1")

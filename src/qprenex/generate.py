@@ -87,19 +87,16 @@ def random_problem(
     max_depth: int = 4,
     max_size: int = 40,
     monotone: bool = False,
-    with_user_op: bool = True,
 ) -> Problem:
-    """Random problem; by default declares a majority operator and may use it."""
+    """Random problem; unless monotone, declares a majority operator and may use it."""
     table = OperatorTable()
     decls: tuple[OpDecl, ...] = ()
     if monotone:
         ops: tuple[tuple[str, int, float], ...] = MONOTONE_OPS
-    elif with_user_op:
+    else:
         table.add(MAJ_DECL.name, MAJ_DECL.arity, (int(b) for b in MAJ_DECL.bits))
         decls = (MAJ_DECL,)
         ops = DEFAULT_OPS + ((MAJ_DECL.name, MAJ_DECL.arity, 0.5),)
-    else:
-        ops = DEFAULT_OPS
     formula = random_formula(
         rng, pool=pool, max_depth=max_depth, max_size=max_size, ops=ops
     )

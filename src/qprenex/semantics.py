@@ -1,7 +1,8 @@
 """Brute-force reference semantics: the oracle every rewrite is checked against.
 
-The satisfiability, validity and equivalence queries evaluate each formula
-once over all assignments at the same time.  Every subformula becomes a truth
+Every query asks for the first satisfying row of one formula: validity of
+``phi`` asks it of ``not phi``, equivalence of ``phi xor psi``.  The formula
+is evaluated over all assignments at once: every subformula becomes a truth
 table packed into a Python int (bit r holds its value on row r), so the
 connectives are ``& | ^`` against the all-ones table, a user operator is an
 OR over the true rows of its truth table, and ``exists x`` / ``forall x``
@@ -30,22 +31,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 from .core import (
     App,
     DEFAULT_TABLE,
-    FALSE,
     Formula,
-    FreshGen,
     Kind,
     OperatorTable,
     Quant,
-    TRUE,
     Var,
     fold,
     free_vars,
-    substitute,
+    neg,
+    xor,
 )
 
 DEFAULT_ORACLE_CAP = 24
@@ -156,77 +155,29 @@ def _enumerate_one(x: str, body, env: dict[str, int], stop: int):
     return enum
 
 
-class _Evaluator:
-    """Compiled form of one formula for repeated evaluation."""
-
-    def __init__(self, phi: Formula, table: OperatorTable):
-        self._env: dict[str, int] = {}
-        self._free = sorted(free_vars(phi))
-        self._root = _compile(phi, table, self._env)
-
-    def under(self, valuation: Valuation) -> int:
-        env = self._env
-        env.clear()
-        for name in self._free:
-            env[name] = valuation.value(name)
-        return self._root()
-
-    def with_bits(self, names: list[str], bits: tuple[int, ...]) -> int:
-        """Value with ``names`` set to ``bits``; they must cover the free names."""
-        env = self._env
-        env.clear()
-        env.update(zip(names, bits))
-        return self._root()
-
-
 def evaluate(valuation: Valuation, phi: Formula, table: OperatorTable | None = None) -> int:
     """Truth value of ``phi`` under ``valuation``; worst-case exponential."""
-    return _Evaluator(phi, table or DEFAULT_TABLE).under(valuation)
+    env = {name: valuation.value(name) for name in free_vars(phi)}
+    return _compile(phi, table or DEFAULT_TABLE, env)()
 
 
-def _check_cap(names: list[str], cap: int) -> None:
+def _first(phi: Formula, table: OperatorTable | None, cap: int) -> Valuation | None:
+    """The first valuation of ``phi``'s sorted free names, in ``product``
+    order, that makes ``phi`` true; None if there is none."""
+    names = sorted(free_vars(phi))
     if len(names) > cap:
         raise RefusalError(len(names), cap)
-
-
-#: Which rows answer a query: ``combine(values, full)`` maps the formulas'
-#: truth tables (or their 0/1 values, with ``full == 1``) to the rows sought.
-Combine = Callable[[list[int], int], int]
-
-
-def _true_rows(values: list[int], full: int) -> int:
-    return values[0]
-
-
-def _false_rows(values: list[int], full: int) -> int:
-    return full ^ values[0]
-
-
-def _different_rows(values: list[int], full: int) -> int:
-    return values[0] ^ values[1]
-
-
-def _first(
-    formulas: Sequence[Formula],
-    table: OperatorTable | None,
-    cap: int,
-    combine: Combine,
-) -> Valuation | None:
-    """The first valuation of the sorted free names, in ``product`` order,
-    whose row ``combine`` selects; None if there is none."""
-    names = sorted(frozenset().union(*map(free_vars, formulas)))
-    _check_cap(names, cap)
     table = table or DEFAULT_TABLE
-    width = _binding_width(formulas)
+    width = _binding_width(phi)
     if width > W:
-        return _first_by_enumeration(formulas, names, table, combine)
-    return _first_by_tables(formulas, names, width, table, combine)
+        return _first_by_enumeration(phi, names, table)
+    return _first_by_tables(phi, names, width, table)
 
 
-def _binding_width(formulas: Sequence[Formula]) -> int:
+def _binding_width(phi: Formula) -> int:
     """The most names that enclosing blocks bind at any one node."""
     width = 0
-    stack = [(f, 0) for f in formulas]
+    stack = [(phi, 0)]
     while stack:
         f, active = stack.pop()
         if isinstance(f, App):
@@ -239,25 +190,20 @@ def _binding_width(formulas: Sequence[Formula]) -> int:
 
 
 def _first_by_enumeration(
-    formulas: Sequence[Formula],
-    names: list[str],
-    table: OperatorTable,
-    combine: Combine,
+    phi: Formula, names: list[str], table: OperatorTable
 ) -> Valuation | None:
     """:func:`_first` by evaluating every valuation through :func:`_compile`."""
-    evaluators = [_Evaluator(f, table) for f in formulas]
+    env: dict[str, int] = {}
+    root = _compile(phi, table, env)
     for bits in product((0, 1), repeat=len(names)):
-        if combine([e.with_bits(names, bits) for e in evaluators], 1):
+        env.update(zip(names, bits))
+        if root():
             return Valuation(dict(zip(names, bits)))
     return None
 
 
 def _first_by_tables(
-    formulas: Sequence[Formula],
-    names: list[str],
-    width: int,
-    table: OperatorTable,
-    combine: Combine,
+    phi: Formula, names: list[str], width: int, table: OperatorTable
 ) -> Valuation | None:
     """:func:`_first` on truth tables of at most ``W`` positions.
 
@@ -273,7 +219,7 @@ def _first_by_tables(
     for outer in product((0, 1), repeat=lead):
         env = dict(free_tables)
         env.update((x, full if bit else 0) for x, bit in zip(names, outer))
-        rows = combine(_truth_tables(formulas, table, env, masks, full), full)
+        rows = _truth_table(phi, table, env, masks, full)
         if rows:
             row = ((rows & -rows).bit_length() - 1) >> width
             bits = outer + tuple(row >> i & 1 for i in reversed(range(len(inner))))
@@ -293,14 +239,14 @@ def _masks(width: int) -> tuple[int, tuple[int, ...]]:
     return full, tuple(masks)
 
 
-def _truth_tables(
-    roots: Sequence[Formula],
+def _truth_table(
+    phi: Formula,
     table: OperatorTable,
     env: dict[str, int],
     masks: tuple[int, ...],
     full: int,
-) -> list[int]:
-    """Truth tables of ``roots``, each in one :func:`fold`.
+) -> int:
+    """Truth table of ``phi`` in one :func:`fold`.
 
     ``env`` maps each free name to its table.  A block maps its names to the
     masks of the next free low positions for its body, then quantifies those
@@ -359,7 +305,7 @@ def _truth_tables(
                 env[x] = old
         return t
 
-    return [fold(f, leave, enter) for f in roots]
+    return fold(phi, leave, enter)
 
 
 def _apply_user(table: OperatorTable, op: str, args: list[int], full: int) -> int:
@@ -393,7 +339,7 @@ def valid(
     table: OperatorTable | None = None,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> bool:
-    return _first([phi], table, cap, _false_rows) is None
+    return _first(neg(phi), table, cap) is None
 
 
 def satisfying_assignment(
@@ -402,7 +348,7 @@ def satisfying_assignment(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> Valuation | None:
     """The first valuation, in ``product`` order, making ``phi`` true, or None."""
-    return _first([phi], table, cap, _true_rows)
+    return _first(phi, table, cap)
 
 
 def find_disagreement(
@@ -412,7 +358,7 @@ def find_disagreement(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> Valuation | None:
     """The first valuation on which the two formulas evaluate differently, or None."""
-    return _first([phi, psi], table, cap, _different_rows)
+    return _first(xor(phi, psi), table, cap)
 
 
 def equivalent(
@@ -440,32 +386,3 @@ def equivalid(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> bool:
     return valid(phi, table, cap) == valid(psi, table, cap)
-
-
-def evaluate_via_mc(
-    valuation: Valuation, phi: Formula, table: OperatorTable | None = None
-) -> int:
-    """Evaluate by rewriting into a boolean combination of prenex parts.
-
-    Free variables are first fixed to constants per the valuation, the result
-    is rewritten with :func:`qprenex.transform.prenex_mc`, and each maximal
-    prenex subformula is then evaluated with the plain oracle, combining the
-    answers through the boolean skeleton.  Agrees with :func:`evaluate`.
-    """
-    from .transform import prenex_mc  # cycle: transform tests against semantics
-
-    table = table or DEFAULT_TABLE
-    constants = {
-        name: TRUE if valuation.value(name) else FALSE for name in free_vars(phi)
-    }
-    fixed = substitute(phi, constants)
-    parts = prenex_mc(fixed, FreshGen.for_formula(fixed))
-
-    def leave(f: Formula, kids: list) -> int:
-        if isinstance(f, Quant):
-            return evaluate(valuation, f, table)
-        if isinstance(f, Var):
-            return valuation.value(f.name)
-        return table.apply(f.op, kids)
-
-    return fold(parts, leave, lambda q: False)  # prenex parts are leaves

@@ -24,7 +24,6 @@ up exponentially once such operators nest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .core import (
     App,
@@ -33,10 +32,7 @@ from .core import (
     Formula,
     FreshGen,
     Kind,
-    NameInfo,
     Quant,
-    ROLE_ABBREV,
-    ROLE_NEG,
     ROLE_POS,
     TRUE,
     RESERVED_CHAR,
@@ -99,14 +95,12 @@ class StepResult:
     """One-layer transform output with its bookkeeping sets.
 
     ``neg`` holds the fresh negative copies, ``pos`` the positive copies plus
-    the abbreviation variables; ``name_map`` traces every fresh name back to
-    its source variable (or the abbreviation role) and binding index.
+    the abbreviation variables.
     """
 
     psi: Formula
     neg: frozenset[str]
     pos: frozenset[str]
-    name_map: Mapping[str, NameInfo]
 
 
 def decompose_outermost(phi: Formula, gen: FreshGen | None = None) -> Decomposition:
@@ -211,15 +205,13 @@ def step_transform(kind: Kind, phi: Formula, gen: FreshGen | None = None) -> Ste
     gen = gen or FreshGen.for_formula(phi)
     decomposition = decompose_outermost(phi, gen)
     if not decomposition.bindings:
-        return StepResult(phi, frozenset(), frozenset(), {})
+        return StepResult(phi, frozenset(), frozenset())
 
     parts: list[Formula] = []
     negatives: set[str] = set()
     positives: set[str] = set()
-    name_map: dict[str, NameInfo] = {}
     for b in decomposition.bindings:
         positives.add(b.name)
-        name_map[b.name] = NameInfo(ROLE_ABBREV, "abbrev", b.index)
         sigma = {x: Var(pos_copy(x, b.index)) for x in b.block}
         parts.append(iff(Var(b.name), substitute(b.body, sigma)))
         if b.block:
@@ -234,15 +226,13 @@ def step_transform(kind: Kind, phi: Formula, gen: FreshGen | None = None) -> Ste
         for x in b.block:
             positives.add(pos_copy(x, b.index))
             negatives.add(neg_copy(x, b.index))
-            name_map[pos_copy(x, b.index)] = NameInfo(ROLE_POS, x, b.index)
-            name_map[neg_copy(x, b.index)] = NameInfo(ROLE_NEG, x, b.index)
 
     core = big_conj(parts)
     if kind is Kind.FORALL:
         psi = conj(core, decomposition.skeleton)
     else:
         psi = implies(core, decomposition.skeleton)
-    return StepResult(psi, frozenset(negatives), frozenset(positives), name_map)
+    return StepResult(psi, frozenset(negatives), frozenset(positives))
 
 
 def _layer_counts(phi: Formula) -> list[int]:

@@ -8,7 +8,10 @@ import random
 import re
 
 from qprenex.core import (
+    DEFAULT_TABLE,
+    FALSE,
     RESERVED_CHAR,
+    TRUE,
     App,
     Formula,
     FreshGen,
@@ -16,6 +19,8 @@ from qprenex.core import (
     OperatorTable,
     Quant,
     Var,
+    fold,
+    free_vars,
     is_boolean,
     nblock,
     nbvar,
@@ -32,8 +37,10 @@ from qprenex.parser import (
     format_problem,
     parse_formula,
 )
+from qprenex.semantics import Valuation, evaluate
 from qprenex.transform import (
     decompose_outermost,
+    prenex_mc,
     step_transform,
 )
 
@@ -135,6 +142,33 @@ def layered_prenex_mc(phi: Formula, gen: FreshGen) -> Formula:
         inner, negatives = layered_prenex_tracked(b.kind, b.body, gen)
         replacements[b.name] = Quant(b.kind, b.block + tuple(negatives), inner)
     return substitute(decomposition.skeleton, replacements)
+
+
+def evaluate_via_mc(
+    valuation: Valuation, phi: Formula, table: OperatorTable | None = None
+) -> int:
+    """Evaluate by rewriting into a boolean combination of prenex parts.
+
+    Free variables are first fixed to constants per the valuation, the result
+    is rewritten with :func:`qprenex.transform.prenex_mc`, and each maximal
+    prenex subformula is then evaluated with the plain oracle, combining the
+    answers through the boolean skeleton.  Agrees with :func:`evaluate`.
+    """
+    table = table or DEFAULT_TABLE
+    constants = {
+        name: TRUE if valuation.value(name) else FALSE for name in free_vars(phi)
+    }
+    fixed = substitute(phi, constants)
+    parts = prenex_mc(fixed, FreshGen.for_formula(fixed))
+
+    def leave(f: Formula, kids: list) -> int:
+        if isinstance(f, Quant):
+            return evaluate(valuation, f, table)
+        if isinstance(f, Var):
+            return valuation.value(f.name)
+        return table.apply(f.op, kids)
+
+    return fold(parts, leave, lambda q: False)  # prenex parts are leaves
 
 
 def cli_outputs(problem: Problem, mode: str, fmt: str) -> tuple[str, str]:

@@ -33,7 +33,6 @@ from qprenex.semantics import (
     equivalent,
     equivalid,
     evaluate,
-    evaluate_via_mc,
     satisfiable,
 )
 from qprenex.core import big_conj, conj, disj, exists, forall, iff, neg, neg_copy, substitute
@@ -48,6 +47,7 @@ from qprenex.transform import (
 )
 
 from helpers import (
+    evaluate_via_mc,
     flat_encoding_pair,
     metrics_example,
     oracle_problem,

@@ -301,6 +301,14 @@ class TestInputErrors:
     def test_gen_without_variables(self, capsys):
         self._fails_with_one_line(["gen", "--vars", "0"], capsys, "--vars must be at least 1")
 
+    def test_check_with_negative_oracle_cap(self, tmp_path, capsys):
+        src = write(tmp_path, "in.fqbf", "true")
+        self._fails_with_one_line(
+            ["check", src, "--oracle-cap", "-1"],
+            capsys,
+            "--oracle-cap must be at least 0, got -1",
+        )
+
     def test_absurd_declared_arity(self, tmp_path, capsys):
         src = write(tmp_path, "in.fqbf", "op f/20000 : 01 ; f(a)")
         self._fails_with_one_line(["prenex", src], capsys, "expected 2^20000 for arity 20000")

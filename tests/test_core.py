@@ -227,6 +227,15 @@ class TestOperatorTable:
         with pytest.raises(ValueError):
             table.add("bad", 1, (2, 0))
 
+    @pytest.mark.parametrize(
+        "arity, expected",
+        [(0, "1"), (3, "8"), (20_000, r"2\^20000"), (10**12, r"2\^1000000000000")],
+    )
+    def test_add_checks_the_size_without_computing_it(self, arity, expected):
+        # An absurd arity fails at once with the table's own message.
+        with pytest.raises(ValueError, match=f"has 2 entries, expected {expected}$"):
+            OperatorTable().add("f", arity, (0, 1))
+
 
 class TestBuilders:
     def test_big_conj_empty_is_true(self):

@@ -34,7 +34,6 @@ from qprenex.semantics import (
     equivalent,
     equivalid,
     evaluate,
-    evaluate_via_mc,
     find_disagreement,
     satisfiable,
     satisfying_assignment,
@@ -43,6 +42,7 @@ from qprenex.semantics import (
 from qprenex.transform import prenex, prenex_mc
 
 from helpers import (
+    evaluate_via_mc,
     flat_encoding_pair,
     metrics_example,
     oracle_problem,
@@ -238,25 +238,19 @@ class TestEvaluateViaMc:
             )
 
 
-def _reference(combine, *formulas, table=None):
+def _reference(f, table=None):
     """The ``_compile`` enumeration that the truth-table path replaces."""
-    names = sorted(frozenset().union(*map(free_vars, formulas)))
-    return semantics._first_by_enumeration(
-        formulas, names, table or OperatorTable(), combine
-    )
+    names = sorted(free_vars(f))
+    return semantics._first_by_enumeration(f, names, table or OperatorTable())
 
 
 def _assert_agrees(phi, psi, table=None):
     """Table oracle and reference agree on every query, witnesses included."""
     for f in (phi, psi):
-        assert satisfying_assignment(f, table) == _reference(
-            semantics._true_rows, f, table=table
-        ), f
-        assert valid(f, table) == (
-            _reference(semantics._false_rows, f, table=table) is None
-        ), f
+        assert satisfying_assignment(f, table) == _reference(f, table), f
+        assert valid(f, table) == (_reference(neg(f), table) is None), f
     assert find_disagreement(phi, psi, table) == _reference(
-        semantics._different_rows, phi, psi, table=table
+        xor(phi, psi), table
     ), (phi, psi)
 
 
@@ -274,7 +268,7 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(semantics, name, wrapper)
 
-    spy("_truth_tables", "tables")
+    spy("_truth_table", "tables")
     spy("_first_by_enumeration", "enumeration")
     return counts
 
@@ -297,16 +291,10 @@ class TestTableOracle:
             mc = prenex_mc(phi, FreshGen.for_formula(phi))
             # The queries of qprenex check in its three modes.
             for f in (phi, sat):
-                assert satisfying_assignment(f, table) == _reference(
-                    semantics._true_rows, f, table=table
-                )
+                assert satisfying_assignment(f, table) == _reference(f, table)
             for f in (phi, val):
-                assert valid(f, table) == (
-                    _reference(semantics._false_rows, f, table=table) is None
-                )
-            assert find_disagreement(phi, mc, table) == _reference(
-                semantics._different_rows, phi, mc, table=table
-            )
+                assert valid(f, table) == (_reference(neg(f), table) is None)
+            assert find_disagreement(phi, mc, table) == _reference(xor(phi, mc), table)
         # The reference runs as many times as the table path; no query of
         # this corpus binds more than W names at once.
         assert calls["enumeration"] == 2_000 * 5

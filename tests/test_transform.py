@@ -10,6 +10,7 @@ from qprenex.core import (
     Quant,
     TRUE,
     Var,
+    classify_name,
     exists,
     fold_constants,
     free_vars,
@@ -27,7 +28,7 @@ from qprenex.core import (
 from qprenex.export import lower_operators, to_qcir, to_qdimacs
 from qprenex.generate import nested_iff_family, random_formula
 from qprenex.parser import format_formula, parse_formula
-from qprenex.semantics import Valuation, equisatisfiable, equivalent, evaluate_via_mc
+from qprenex.semantics import Valuation, equisatisfiable, equivalent
 from qprenex.transform import (
     PreconditionError,
     decompose_outermost,
@@ -40,6 +41,7 @@ from qprenex.transform import (
 
 from helpers import (
     criterion_4_corpus,
+    evaluate_via_mc,
     layered_prenex_mc,
     layered_prenex_tracked,
     oracle_problem,
@@ -175,15 +177,15 @@ class TestStepTransform:
         step = step_transform(Kind.EXISTS, phi, FreshGen())
         assert step.psi == phi
         assert step.neg == frozenset() and step.pos == frozenset()
-        assert step.name_map == {}
 
     def test_worked_example_sets(self):
         phi = worked_example()
         step = step_transform(Kind.EXISTS, phi, FreshGen())
         assert step.neg == {"x@n1", "y@n2"}
         assert step.pos == {"x@p1", "y@p2", "@a1", "@a2"}
-        assert step.name_map["x@p1"].origin == "x"
-        assert step.name_map["@a1"].role == "abbrev"
+        # Every fresh name traces back to its source through its spelling.
+        origins = {classify_name(n).origin for n in step.pos | step.neg}
+        assert origins == {"x", "y", "abbrev"}
 
     def test_worked_example_equivalence(self):
         # The re-bound one-layer transform is equivalent to the input.

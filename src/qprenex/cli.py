@@ -59,6 +59,11 @@ class _InputError(Exception):
     """A bad argument or environment setting, reported as exit code 1."""
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise _InputError(f"{flag} must be at least {low}, got {value}")
+
+
 def _transform(mode: str, formula: Formula, gen: FreshGen) -> Formula:
     if mode == "sat":
         return prenex(Kind.EXISTS, formula, gen)
@@ -138,8 +143,7 @@ def cmd_prenex(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.oracle_cap < 0:
-        raise _InputError(f"--oracle-cap must be at least 0, got {args.oracle_cap}")
+    _at_least("--oracle-cap", args.oracle_cap, 0)
     try:
         problem = _read_problem(args.input, args.allow_internal_names)
         if args.transformed is not None:
@@ -203,8 +207,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.vars < 1:
-        raise _InputError(f"--vars must be at least 1, got {args.vars}")
+    _at_least("--vars", args.vars, 1)
+    _at_least("--max-size", args.max_size, 1)
+    _at_least("--max-depth", args.max_depth, 0)
     rng = random.Random(_seed(args))
     problem = random_problem(
         rng,
@@ -225,6 +230,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.max_k < 1 and args.corpus < 1:
         raise _InputError("nothing to measure: --max-k and --corpus are both below 1")
+    _at_least("--budget", args.budget, 1)
     rng = random.Random(_seed(args))
     rows: list[dict[str, object]] = []
 

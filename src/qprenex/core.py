@@ -479,24 +479,6 @@ def fold_app(
     return neg(rest) if low else rest
 
 
-def fold_constants(phi: Formula, table: OperatorTable | None = None) -> Formula:
-    """Bottom-up propagation of ``true``/``false`` through built-in operators.
-
-    User operators fold only when all arguments are constant (needs ``table``).
-    Quantifier bodies are folded in place; blocks are untouched.
-    """
-    table = table or DEFAULT_TABLE
-
-    def leave(f: Formula, kids: list) -> Formula:
-        if isinstance(f, App):
-            return fold_app(f.op, tuple(kids), table)
-        if isinstance(f, Quant):
-            return Quant(f.kind, f.block, kids[0])
-        return f
-
-    return fold(phi, leave)
-
-
 # ---------------------------------------------------------------------------
 # Fresh names
 

@@ -8,12 +8,17 @@ CNF definition variable).
 User-declared truth-table operators have no counterpart in QCIR/QDIMACS and
 must be lowered first with :func:`lower_operators` (minterm expansion over
 not/and/or); lowering is applied to matrices only, after prenexing, so it
-cannot disturb the size guarantees of the prenex step.
+cannot disturb the size guarantees of the prenex step, and it rebuilds only
+the ancestors of user operators.  The QDIMACS writer folds constants in the
+walk that encodes the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import groupby
+from operator import is_, itemgetter
 
 from . import __version__
 from .core import (
@@ -29,8 +34,9 @@ from .core import (
     TRUE,
     Var,
     classify_name,
+    disj,
     fold,
-    fold_constants,
+    fold_app,
     free_vars,
     is_prenex,
     neg,
@@ -83,8 +89,8 @@ class Manifest:
                 ManifestEntry(emitted, info.role, info.origin, str(info.index))
             )
 
-    def record_tseytin(self, emitted: str) -> None:
-        self.entries.append(ManifestEntry(emitted, ROLE_TSEYTIN, "-", "-"))
+    def record_tseytin(self, ids: range) -> None:
+        self.entries.extend(ManifestEntry(str(i), ROLE_TSEYTIN, "-", "-") for i in ids)
 
     def render(self) -> str:
         lines = [
@@ -98,17 +104,19 @@ class Manifest:
 
 
 def lower_operators(phi: Formula, table: OperatorTable | None = None) -> Formula:
-    """Replace user truth-table operators by their minterm expansions."""
+    """Replace user truth-table operators by their minterm expansions;
+    every subtree without one is shared, not copied."""
     table = table or DEFAULT_TABLE
 
     def leave(f: Formula, kids: list) -> Formula:
         if isinstance(f, Var):
             return f
         if isinstance(f, Quant):
-            return Quant(f.kind, f.block, kids[0])
-        args = tuple(kids)
+            return f if kids[0] is f.body else Quant(f.kind, f.block, kids[0])
         if f.op in CORE_EXPORT_OPS:
-            return App(f.op, args)
+            # Identity, not ``==``: dataclass equality recurses into the kids.
+            return f if all(map(is_, kids, f.args)) else App(f.op, tuple(kids))
+        args = tuple(kids)
         bits = table.truth_table(f.op)
         arity = table.arity(f.op)
         minterms: list[Formula] = []
@@ -123,12 +131,7 @@ def lower_operators(phi: Formula, table: OperatorTable | None = None) -> Formula
             for lit in literals:
                 term = lit if term == TRUE else App("and", (term, lit))
             minterms.append(term)
-        if not minterms:
-            return FALSE
-        expansion = minterms[0]
-        for term in minterms[1:]:
-            expansion = App("or", (expansion, term))
-        return expansion
+        return reduce(disj, minterms) if minterms else FALSE
 
     return fold(phi, leave)
 
@@ -168,6 +171,18 @@ def _numbered_variables(
     return ids, free, numbered, matrix, top
 
 
+#: The definition of a QCIR gate, per connective.
+_QCIR_GATE = {
+    "true": lambda: "and()",
+    "false": lambda: "or()",
+    "and": lambda a, b: f"and({a}, {b})",
+    "or": lambda a, b: f"or({a}, {b})",
+    "xor": lambda a, b: f"xor({a}, {b})",
+    "imp": lambda a, b: f"or({-a}, {b})",
+    "iff": lambda a, b: f"ite({a}, {b}, {-b})",
+}
+
+
 def to_qcir(
     phi: Formula,
     table: OperatorTable | None = None,
@@ -176,38 +191,26 @@ def to_qcir(
     """Cleansed prenex QCIR-G14 text."""
     if not is_prenex(phi):
         raise NotPrenex("QCIR export needs a prenex formula")
-    ids, free, blocks, matrix, counter = _numbered_variables(phi, manifest)
+    ids, free, blocks, matrix, top = _numbered_variables(phi, manifest)
+    counter = top
     gates: list[str] = []
 
-    def new_gate(definition: str) -> int:
-        nonlocal counter
-        counter += 1
-        gates.append(f"{counter} = {definition}")
-        if manifest is not None:
-            manifest.record_tseytin(str(counter))
-        return counter
-
     def leave(f: Formula, lits: list) -> int:
+        nonlocal counter
         if isinstance(f, Var):
             return ids[f.name]
-        op = f.op
-        if op == "not":
+        if f.op == "not":
             return -lits[0]
-        if op == "true":
-            return new_gate("and()")
-        if op == "false":
-            return new_gate("or()")
-        if op in ("and", "or", "xor"):
-            return new_gate(f"{op}({', '.join(str(x) for x in lits)})")
-        if op == "imp":
-            a, b = lits
-            return new_gate(f"or({-a}, {b})")
-        if op == "iff":
-            a, b = lits
-            return new_gate(f"ite({a}, {b}, {-b})")
-        raise UnloweredOperator(op)
+        gate = _QCIR_GATE.get(f.op)
+        if gate is None:
+            raise UnloweredOperator(f.op)
+        counter += 1
+        gates.append(f"{counter} = {gate(*lits)}")
+        return counter
 
     output = fold(matrix, leave)
+    if manifest is not None:
+        manifest.record_tseytin(range(top + 1, counter + 1))
     lines = [f"#QCIR-G14 {counter}"]
     if free:
         lines.append(f"free({', '.join(str(i) for i in free)})")
@@ -219,13 +222,17 @@ def to_qcir(
     return "\n".join(lines) + "\n"
 
 
-# Clause schemas defining gate <-> op(a, b) for the binary connectives.
-_GATE_CLAUSES = {
-    "and": ((-1, 2), (-1, 3), (1, -2, -3)),
-    "or": ((1, -2), (1, -3), (-1, 2, 3)),
-    "imp": ((1, 2), (1, -3), (-1, -2, 3)),
-    "iff": ((-1, -2, 3), (-1, 2, -3), (1, 2, 3), (1, -2, -3)),
-    "xor": ((-1, 2, 3), (-1, -2, -3), (1, -2, 3), (1, 2, -3)),
+#: The clauses defining gate ``g <-> op(a, b)``, one line each, per connective.
+_GATE_TEXT = {
+    "and": lambda g, a, b: f"{-g} {a} 0\n{-g} {b} 0\n{g} {-a} {-b} 0\n",
+    "or": lambda g, a, b: f"{g} {-a} 0\n{g} {-b} 0\n{-g} {a} {b} 0\n",
+    "imp": lambda g, a, b: f"{g} {a} 0\n{g} {-b} 0\n{-g} {-a} {b} 0\n",
+    "iff": lambda g, a, b: (
+        f"{-g} {-a} {b} 0\n{-g} {a} {-b} 0\n{g} {a} {b} 0\n{g} {-a} {-b} 0\n"
+    ),
+    "xor": lambda g, a, b: (
+        f"{-g} {a} {b} 0\n{-g} {-a} {-b} 0\n{g} {-a} {b} 0\n{g} {a} {-b} 0\n"
+    ),
 }
 
 
@@ -241,68 +248,67 @@ def to_qdimacs(
     (the transform guarantees equisatisfiability, not equivalence) and by a
     universal block in ``valid`` mode.  Definition variables go into a final
     innermost existential block; adjacent same-kind blocks merge so the
-    prefix alternates strictly.
+    prefix alternates strictly.  Constants are folded (:func:`fold_app`) in
+    the same walk that encodes the matrix.
     """
     if mode not in ("sat", "valid"):
         raise ValueError(f"unsupported mode '{mode}'")
     if not is_prenex(phi):
         raise NotPrenex("QDIMACS export needs a prenex formula")
-    ids, free, blocks, matrix, counter = _numbered_variables(phi, manifest)
+    table = table or DEFAULT_TABLE
+    ids, free, blocks, matrix, top = _numbered_variables(phi, manifest)
     if free:
         outer = Kind.EXISTS if mode == "sat" else Kind.FORALL
         blocks = [(outer, free)] + blocks
+    counter = top
+    parts: list[str] = []  # clause text, one entry per gate
+    # Beside each value of the fold, the gate count where its subtree began.
+    # A value is an int literal or TRUE / FALSE, never a bool: ``True == 1``.
+    marks: list[int] = []
 
-    matrix = fold_constants(matrix, table)
-    clauses: list[list[int]] = []
-    definitions: list[int] = []
-
-    def new_gate() -> int:
+    def leave(f: Formula, lits: list) -> int | Formula:
         nonlocal counter
-        counter += 1
-        definitions.append(counter)
-        if manifest is not None:
-            manifest.record_tseytin(str(counter))
-        return counter
-
-    def leave(f: Formula, lits: list) -> int:
-        if isinstance(f, Var):
-            return ids[f.name]
-        if f.op == "not":
+        if not lits:
+            marks.append(counter)
+            if isinstance(f, Var):
+                return ids[f.name]
+        elif len(lits) > 1:
+            del marks[1 - len(lits):]
+            gate = _GATE_TEXT.get(f.op)
+            if gate and type(lits[0]) is int and type(lits[1]) is int:
+                counter += 1
+                parts.append(gate(counter, *lits))
+                return counter
+        elif f.op == "not" and type(lits[0]) is int:
             return -lits[0]
-        if f.op in _GATE_CLAUSES:
-            a, b = lits
-            g = new_gate()
-            values = {1: g, 2: a, 3: b}
-            for schema in _GATE_CLAUSES[f.op]:
-                clauses.append(
-                    [values[abs(v)] if v > 0 else -values[abs(v)] for v in schema]
-                )
-            return g
-        # Constants survive folding only as the whole matrix.
+        value = fold_app(f.op, tuple(lits), table)
+        if type(value) is int:
+            return value
+        if value is TRUE or value is FALSE:
+            # Folding first would never have encoded the open kids this drops.
+            counter = marks[-1]
+            del parts[counter - top:]
+            return value
+        if value.op == "not":
+            return -value.args[0]
         raise UnloweredOperator(f.op)
 
-    if matrix == FALSE:
-        clauses.append([])
-    elif matrix != TRUE:
-        clauses.append([fold(matrix, leave)])
-
-    if definitions:
-        blocks = blocks + [(Kind.EXISTS, definitions)]
-    merged: list[tuple[Kind, list[int]]] = []
-    for kind, block_ids in blocks:
-        if merged and merged[-1][0] is kind:
-            merged[-1][1].extend(block_ids)
-        else:
-            merged.append((kind, list(block_ids)))
-
-    lines = [f"p cnf {counter} {len(clauses)}"]
-    for kind, block_ids in merged:
-        marker = "e" if kind is Kind.EXISTS else "a"
-        lines.append(f"{marker} {' '.join(str(i) for i in block_ids)} 0")
-    lines.extend(
-        " ".join([str(x) for x in clause] + ["0"]) for clause in clauses
+    output = fold(matrix, leave)
+    if manifest is not None:
+        manifest.record_tseytin(range(top + 1, counter + 1))
+    if counter > top:
+        blocks = blocks + [(Kind.EXISTS, range(top + 1, counter + 1))]
+    prefix = "".join(
+        f"{'e' if kind is Kind.EXISTS else 'a'} "
+        f"{' '.join(str(i) for _, block_ids in run for i in block_ids)} 0\n"
+        for kind, run in groupby(blocks, key=itemgetter(0))
     )
-    return "\n".join(lines) + "\n"
+    if output is not TRUE:
+        parts.append("0\n" if output is FALSE else f"{output} 0\n")
+    clauses = "".join(parts)
+    parts.clear()  # free the pieces before the header costs one more copy
+    count = clauses.count("\n")
+    return f"p cnf {counter} {count}\n{prefix}{clauses}"
 
 
 def manifest_for_text_export(phi: Formula, manifest: Manifest) -> None:

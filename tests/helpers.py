@@ -20,14 +20,22 @@ from qprenex.core import (
     Quant,
     Var,
     fold,
+    fold_app,
     free_vars,
     is_boolean,
+    is_prenex,
     nblock,
     nbvar,
     substitute,
 )
 from qprenex.cli import _transform
-from qprenex.export import Manifest, NotPrenex, export_text
+from qprenex.export import (
+    Manifest,
+    NotPrenex,
+    UnloweredOperator,
+    _numbered_variables,
+    export_text,
+)
 from qprenex.generate import random_formula, random_problem
 from qprenex.parser import (
     KEYWORDS,
@@ -183,6 +191,107 @@ def cli_outputs(problem: Problem, mode: str, fmt: str) -> tuple[str, str]:
     except NotPrenex:
         return "NotPrenex\n", "NotPrenex\n"
     return text, manifest.render()
+
+
+# ---------------------------------------------------------------------------
+# Reference QDIMACS writer: fold the whole matrix first with
+# ``fold_constants``, then encode it with one clause list per schema entry.
+# ``to_qdimacs`` folds while it encodes and must write exactly this text and
+# ``.map``.
+
+def fold_constants(phi: Formula, table: OperatorTable | None = None) -> Formula:
+    """Bottom-up propagation of ``true``/``false`` through built-in operators.
+
+    User operators fold only when all arguments are constant (needs ``table``).
+    Quantifier bodies are folded in place; blocks are untouched.
+    """
+    table = table or DEFAULT_TABLE
+
+    def leave(f: Formula, kids: list) -> Formula:
+        if isinstance(f, App):
+            return fold_app(f.op, tuple(kids), table)
+        if isinstance(f, Quant):
+            return Quant(f.kind, f.block, kids[0])
+        return f
+
+    return fold(phi, leave)
+
+
+_GATE_CLAUSES = {  # gate <-> op(a, b), with 1 = gate, 2 = a, 3 = b
+    "and": ((-1, 2), (-1, 3), (1, -2, -3)),
+    "or": ((1, -2), (1, -3), (-1, 2, 3)),
+    "imp": ((1, 2), (1, -3), (-1, -2, 3)),
+    "iff": ((-1, -2, 3), (-1, 2, -3), (1, 2, 3), (1, -2, -3)),
+    "xor": ((-1, 2, 3), (-1, -2, -3), (1, -2, 3), (1, 2, -3)),
+}
+
+
+def reference_to_qdimacs(
+    phi: Formula,
+    table: OperatorTable | None = None,
+    mode: str = "sat",
+    manifest: Manifest | None = None,
+) -> str:
+    if mode not in ("sat", "valid"):
+        raise ValueError(f"unsupported mode '{mode}'")
+    if not is_prenex(phi):
+        raise NotPrenex("QDIMACS export needs a prenex formula")
+    ids, free, blocks, matrix, counter = _numbered_variables(phi, manifest)
+    if free:
+        outer = Kind.EXISTS if mode == "sat" else Kind.FORALL
+        blocks = [(outer, free)] + blocks
+
+    matrix = fold_constants(matrix, table)
+    clauses: list[list[int]] = []
+    definitions: list[int] = []
+
+    def new_gate() -> int:
+        nonlocal counter
+        counter += 1
+        definitions.append(counter)
+        if manifest is not None:
+            manifest.record_tseytin(range(counter, counter + 1))
+        return counter
+
+    def leave(f: Formula, lits: list) -> int:
+        if isinstance(f, Var):
+            return ids[f.name]
+        if f.op == "not":
+            return -lits[0]
+        if f.op in _GATE_CLAUSES:
+            a, b = lits
+            g = new_gate()
+            values = {1: g, 2: a, 3: b}
+            for schema in _GATE_CLAUSES[f.op]:
+                clauses.append(
+                    [values[abs(v)] if v > 0 else -values[abs(v)] for v in schema]
+                )
+            return g
+        # Constants survive folding only as the whole matrix.
+        raise UnloweredOperator(f.op)
+
+    if matrix == FALSE:
+        clauses.append([])
+    elif matrix != TRUE:
+        clauses.append([fold(matrix, leave)])
+
+    if definitions:
+        blocks = blocks + [(Kind.EXISTS, definitions)]
+    merged: list[tuple[Kind, list[int]]] = []
+    for kind, block_ids in blocks:
+        if merged and merged[-1][0] is kind:
+            merged[-1][1].extend(block_ids)
+        else:
+            merged.append((kind, list(block_ids)))
+
+    lines = [f"p cnf {counter} {len(clauses)}"]
+    for kind, block_ids in merged:
+        marker = "e" if kind is Kind.EXISTS else "a"
+        lines.append(f"{marker} {' '.join(str(i) for i in block_ids)} 0")
+    lines.extend(
+        " ".join([str(x) for x in clause] + ["0"]) for clause in clauses
+    )
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

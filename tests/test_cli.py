@@ -301,6 +301,21 @@ class TestInputErrors:
     def test_gen_without_variables(self, capsys):
         self._fails_with_one_line(["gen", "--vars", "0"], capsys, "--vars must be at least 1")
 
+    def test_gen_with_max_size_below_one(self, capsys):
+        self._fails_with_one_line(
+            ["gen", "--max-size", "0"], capsys, "--max-size must be at least 1, got 0"
+        )
+
+    def test_gen_with_negative_max_depth(self, capsys):
+        self._fails_with_one_line(
+            ["gen", "--max-depth", "-1"], capsys, "--max-depth must be at least 0, got -1"
+        )
+
+    def test_bench_with_budget_below_one(self, capsys):
+        self._fails_with_one_line(
+            ["bench", "--budget", "-1"], capsys, "--budget must be at least 1, got -1"
+        )
+
     def test_check_with_negative_oracle_cap(self, tmp_path, capsys):
         src = write(tmp_path, "in.fqbf", "true")
         self._fails_with_one_line(

@@ -21,7 +21,6 @@ from qprenex.core import (
     conj,
     exists,
     fold_app,
-    fold_constants,
     forall,
     free_vars,
     is_boolean,
@@ -42,7 +41,7 @@ from qprenex.generate import random_formula
 from qprenex.parser import parse_formula
 from qprenex.semantics import equivalent
 
-from helpers import metrics_example, small_formula
+from helpers import fold_constants, metrics_example, small_formula
 
 
 class TestLength:

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from qprenex.cli import _transform
 from qprenex.core import (
     App,
     FreshGen,
@@ -12,9 +13,12 @@ from qprenex.core import (
     Quant,
     Var,
     free_vars,
+    is_prenex,
+    nodes,
     vars_of,
 )
 from qprenex.export import (
+    CORE_EXPORT_OPS,
     Manifest,
     NotPrenex,
     UnloweredOperator,
@@ -37,7 +41,8 @@ from qprenex.semantics import (
 )
 from qprenex.transform import SizeBudgetExceeded, naive_prenex, prenex, prenex_mc
 
-from helpers import cli_outputs, oracle_problem, worked_example
+from helpers import cli_outputs, oracle_problem, reference_to_qdimacs, worked_example
+from test_golden import golden_corpora
 
 
 class TestPrenexText:
@@ -125,6 +130,47 @@ class TestLowering:
             phi = App("g", (Var("a"), App("not", (Var("b"),))))
             lowered = lower_operators(phi, table)
             assert equivalent(phi, lowered, table)
+
+
+class TestLoweringShares:
+    def test_formula_without_user_operators_comes_back_itself(self):
+        phi = prenex(Kind.EXISTS, nested_iff_family(30), FreshGen())
+        assert lower_operators(phi) is phi
+
+    def test_only_ancestors_of_user_operators_are_rebuilt(self):
+        rng = random.Random(163)
+        rebuilt = 0
+        for _ in range(60):
+            problem = random_problem(rng, max_size=80)
+            lowered = lower_operators(problem.formula, problem.table)
+            kept = {id(f) for f in nodes(lowered)}
+            for f in nodes(problem.formula):
+                if isinstance(f, App) and not f.args:
+                    continue  # a constant argument may vanish from a minterm
+                has_user = any(
+                    isinstance(g, App) and g.op not in CORE_EXPORT_OPS for g in nodes(f)
+                )
+                assert (id(f) in kept) is not has_user
+                rebuilt += has_user
+        assert rebuilt > 0
+
+    def test_deep_input_lowers_at_the_default_recursion_limit(self):
+        problem = parse("op maj/3 : 00010111 ; maj(a, b, c)")
+        bottom = problem.formula
+
+        def imp_chain(f):
+            for i in range(10**5):
+                f = App("imp", (Var(f"x{i % 7}"), f))
+            return f
+
+        plain = imp_chain(parse_formula("x -> y"))
+        assert lower_operators(plain) is plain
+        deep = imp_chain(bottom)
+        f, g = deep, lower_operators(deep, problem.table)
+        while f is not bottom:
+            assert g is not f and g.op == "imp" and g.args[0] is f.args[0]
+            f, g = f.args[1], g.args[1]
+        assert g == lower_operators(bottom, problem.table)
 
 
 def _walk_apps(phi):
@@ -257,6 +303,85 @@ class TestQdimacs:
         assert "-4 3 0" in lines
         qcir = to_qcir(phi).splitlines()
         assert qcir[-1] == "4 = and(3, 1)"
+
+
+# An open subtree the writer encodes (three gates) before it meets the
+# constant that drops it.
+_OPEN = "((a & b) xor (c | d))"
+
+
+def _hand_corpus() -> list[str]:
+    texts = []
+    for op in ("&", "|", "->", "<->", "xor"):
+        for const in ("true", "false"):
+            for inner in (f"{_OPEN} {op} {const}", f"{const} {op} {_OPEN}"):
+                texts.append(f"(e <-> f) & ({inner}) & (g -> h)")
+                texts.append(f"~({inner}) xor (e & f)")
+                texts.append(f"exists e . forall f . (e | f) -> ~~({inner})")
+    texts += [
+        "true",
+        "false",
+        "~true",
+        "exists x . (x | a) & false",
+        "forall x . (x xor a) | true",
+        "~((((a & b) <-> c) & false) | (d & e))",
+        "((a & b) | (c & false)) & ((d xor e) | true) & ((f -> g) <-> ~false)",
+        "op t/0 : 1 ; op f/0 : 0 ; ((a & b) | c) & f",
+        "op t/0 : 1 ; op f/0 : 0 ; (e xor ((a & b) | t)) -> (f <-> (c & d))",
+        "op m/2 : 0110 ; m(true, a & b) | (c <-> d)",
+        "op maj/3 : 00010111 ; exists x . maj(true, x & a, b) xor maj(a, false, (b | c))",
+    ]
+    return texts
+
+
+class TestOnePassQdimacs:
+    """``to_qdimacs`` folds constants while it encodes; it must write the text
+    and ``.map`` of folding the whole matrix first, byte for byte."""
+
+    @staticmethod
+    def _assert_matches_reference(phi, table):
+        for mode in ("sat", "valid"):
+            mine, theirs = Manifest(mode=mode), Manifest(mode=mode)
+            text = to_qdimacs(phi, table, mode, mine)
+            assert text == reference_to_qdimacs(phi, table, mode, theirs)
+            assert mine.render() == theirs.render()
+
+    def test_golden_corpora_in_every_mode(self):
+        for problems in golden_corpora().values():
+            for problem in problems:
+                phi = problem.formula
+                for mode in ("sat", "valid", "mc"):
+                    result = _transform(mode, phi, FreshGen.for_formula(phi))
+                    if is_prenex(result):
+                        lowered = lower_operators(result, problem.table)
+                        self._assert_matches_reference(lowered, problem.table)
+
+    @pytest.mark.parametrize("text", _hand_corpus())
+    def test_constants_that_drop_encoded_subtrees(self, text):
+        problem = parse(text)
+        lowered = lower_operators(problem.formula, problem.table)
+        self._assert_matches_reference(lowered, problem.table)
+        # Nullary user operators fold without lowering.
+        if all(
+            f.op in CORE_EXPORT_OPS or not f.args for f in _walk_apps(problem.formula)
+        ):
+            self._assert_matches_reference(problem.formula, problem.table)
+
+    def test_random_matrices_dense_in_constants(self):
+        rng = random.Random(167)
+        for _ in range(400):
+            phi = random_formula(
+                rng, pool=("a", "b", "c", "d"), max_depth=2, max_size=30, const_weight=0.3
+            )
+            for mode in ("sat", "valid", "mc"):
+                result = _transform(mode, phi, FreshGen.for_formula(phi))
+                if is_prenex(result):
+                    self._assert_matches_reference(result, None)
+
+    def test_unlowered_user_operator(self):
+        problem = parse("op maj/3 : 00010111 ; exists x . maj(x, a, b) & true")
+        with pytest.raises(UnloweredOperator, match="'maj'"):
+            to_qdimacs(problem.formula, problem.table)
 
 
 def is_prenex_header_consistent(text: str) -> bool:

@@ -12,7 +12,6 @@ from qprenex.core import (
     Var,
     classify_name,
     exists,
-    fold_constants,
     free_vars,
     is_boolean,
     is_prenex,
@@ -42,6 +41,7 @@ from qprenex.transform import (
 from helpers import (
     criterion_4_corpus,
     evaluate_via_mc,
+    fold_constants,
     layered_prenex_mc,
     layered_prenex_tracked,
     oracle_problem,

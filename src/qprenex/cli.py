@@ -36,7 +36,6 @@ from .semantics import (
     RefusalError,
     Valuation,
     find_disagreement,
-    satisfiable,
     satisfying_assignment,
 )
 from .transform import (
@@ -95,7 +94,8 @@ def _seed(args: argparse.Namespace) -> int:
 
 
 def _format_valuation(valuation: Valuation, names) -> str:
-    return " ".join(f"{n}={valuation.value(n)}" for n in sorted(names))
+    shown = " ".join(f"{n}={valuation.value(n)}" for n in sorted(names))
+    return shown or "(closed formula)"
 
 
 def cmd_prenex(args: argparse.Namespace) -> int:
@@ -180,24 +180,20 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"FAIL mode=mc witness: {_format_valuation(witness, names)}")
             return EXIT_INVARIANT
         if args.mode == "sat":
-            left = satisfiable(formula, table, cap)
-            right = satisfiable(transformed, table, cap)
+            queries = (formula, transformed)
             verdict = "equisatisfiable"
-            witness_of = formula if left else transformed
         else:
-            left = not satisfiable(neg(formula), table, cap)
-            right = not satisfiable(neg(transformed), table, cap)
+            queries = (neg(formula), neg(transformed))
             verdict = "equivalid"
-            witness_of = neg(formula) if not left else neg(transformed)
+        # Each side's verdict is whether its query has a satisfying row; the
+        # first side that has one shows that row as the witness.
+        answers = [satisfying_assignment(q, table, cap) for q in queries]
+        left, right = ((a is None) != (args.mode == "sat") for a in answers)
         if left == right:
             print(f"PASS mode={args.mode} {verdict}=true")
             return EXIT_OK
-        witness = satisfying_assignment(witness_of, table, cap)
-        shown = (
-            _format_valuation(witness, free_vars(witness_of))
-            if witness is not None
-            else "(closed formula)"
-        )
+        side = 0 if answers[0] is not None else 1
+        shown = _format_valuation(answers[side], free_vars(queries[side]))
         print(f"FAIL mode={args.mode} input={left} transformed={right} "
               f"witness: {shown}")
         return EXIT_INVARIANT

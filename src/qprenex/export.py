@@ -23,6 +23,7 @@ from operator import is_, itemgetter
 from . import __version__
 from .core import (
     App,
+    BUILTIN_OPERATORS,
     DEFAULT_TABLE,
     FALSE,
     Formula,
@@ -46,9 +47,7 @@ from .core import (
 from .parser import Problem, format_formula, format_problem
 
 #: Operators the QCIR/QDIMACS writers encode natively.
-CORE_EXPORT_OPS = frozenset(
-    {"true", "false", "not", "and", "or", "imp", "iff", "xor"}
-)
+CORE_EXPORT_OPS = frozenset(BUILTIN_OPERATORS)
 
 
 class NotPrenex(Exception):
@@ -116,15 +115,13 @@ def lower_operators(phi: Formula, table: OperatorTable | None = None) -> Formula
         if f.op in CORE_EXPORT_OPS:
             # Identity, not ``==``: dataclass equality recurses into the kids.
             return f if all(map(is_, kids, f.args)) else App(f.op, tuple(kids))
-        args = tuple(kids)
-        bits = table.truth_table(f.op)
-        arity = table.arity(f.op)
+        arity = len(kids)
         minterms: list[Formula] = []
-        for row, bit in enumerate(bits):
+        for row, bit in enumerate(table.rows(f.op, arity)):
             if not bit:
                 continue
             literals = [
-                args[j] if (row >> (arity - 1 - j)) & 1 else neg(args[j])
+                kids[j] if (row >> (arity - 1 - j)) & 1 else neg(kids[j])
                 for j in range(arity)
             ]
             term: Formula = TRUE

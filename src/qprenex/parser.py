@@ -236,11 +236,10 @@ _QUANTIFIERS = {"exists": Kind.EXISTS, "forall": Kind.FORALL}
 def _application(
     text: str, table: OperatorTable, name: str, args: tuple, offset: int
 ) -> Formula:
-    expected = table.arity(name)
-    if expected != len(args):
-        raise _error(
-            text, offset, f"operator '{name}' expects {expected} arguments, got {len(args)}"
-        )
+    try:
+        table.rows(name, len(args))
+    except ValueError as err:
+        raise _error(text, offset, str(err)) from None
     return App(name, args)
 
 

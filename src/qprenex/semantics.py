@@ -44,6 +44,7 @@ from .core import (
     fold,
     free_vars,
     neg,
+    scopes,
     xor,
 )
 
@@ -111,12 +112,7 @@ def _compile(phi: Formula, table: OperatorTable, env: dict[str, int]):
                 return lambda: 1 if a() == b() else 0
             return lambda: 1 if a() != b() else 0
         parts = tuple(_compile(a, table, env) for a in phi.args)
-        bits = table.truth_table(op)
-        if table.arity(op) != len(parts):
-            raise ValueError(
-                f"operator '{op}' expects {table.arity(op)} arguments, "
-                f"got {len(parts)}"
-            )
+        bits = table.rows(op, len(parts))
 
         def general() -> int:
             index = 0
@@ -176,17 +172,9 @@ def _first(phi: Formula, table: OperatorTable | None, cap: int) -> Valuation | N
 
 def _binding_width(phi: Formula) -> int:
     """The most names that enclosing blocks bind at any one node."""
-    width = 0
-    stack = [(phi, 0)]
-    while stack:
-        f, active = stack.pop()
-        if isinstance(f, App):
-            stack.extend((a, active) for a in f.args)
-        elif isinstance(f, Quant):
-            active += len(f.block)
-            width = max(width, active)
-            stack.append((f.body, active))
-    return width
+    return max(
+        (n + len(f.block) for f, _, n in scopes(phi) if type(f) is Quant), default=0
+    )
 
 
 def _first_by_enumeration(
@@ -311,13 +299,8 @@ def _truth_table(
 def _apply_user(table: OperatorTable, op: str, args: list[int], full: int) -> int:
     """A user operator on argument tables: OR over the true rows of its
     truth table, first argument most significant in the row index."""
-    bits = table.truth_table(op)
-    if table.arity(op) != len(args):
-        raise ValueError(
-            f"operator '{op}' expects {table.arity(op)} arguments, got {len(args)}"
-        )
     result = 0
-    for row, bit in enumerate(bits):
+    for row, bit in enumerate(table.rows(op, len(args))):
         if bit:
             term = full
             for k, a in enumerate(reversed(args)):

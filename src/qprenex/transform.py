@@ -51,6 +51,7 @@ from .core import (
     neg,
     neg_copy,
     pos_copy,
+    scopes,
     substitute,
     vars_of,
 )
@@ -127,23 +128,6 @@ def decompose_outermost(phi: Formula, gen: FreshGen | None = None) -> Decomposit
     return Decomposition(skeleton, tuple(bindings))
 
 
-def _not_in_quantifier_scope(psi: Formula, name: str) -> bool:
-    """True iff ``name`` never occurs inside any quantifier of ``psi``."""
-    stack: list[tuple[Formula, bool]] = [(psi, False)]
-    while stack:
-        f, inside = stack.pop()
-        if isinstance(f, Var):
-            if inside and f.name == name:
-                return False
-        elif isinstance(f, App):
-            stack.extend((a, inside) for a in f.args)
-        else:
-            if name in f.block:
-                return False
-            stack.append((f.body, True))
-    return True
-
-
 def extract_quantifier(
     psi: Formula,
     p: str,
@@ -166,7 +150,10 @@ def extract_quantifier(
         raise PreconditionError(f"'{p}' does not occur in the host formula")
     if p in free_vars(phi):
         raise PreconditionError(f"'{p}' occurs free in the abbreviated body")
-    if not _not_in_quantifier_scope(psi, p):
+    if any(
+        p in f.block if type(f) is Quant else type(f) is Var and f.name == p and blocks
+        for f, blocks, _ in scopes(psi)
+    ):
         raise PreconditionError(
             f"'{p}' occurs inside a quantifier scope of the host formula"
         )
@@ -238,16 +225,11 @@ def step_transform(kind: Kind, phi: Formula, gen: FreshGen | None = None) -> Ste
 def _layer_counts(phi: Formula) -> list[int]:
     """Number of quantifier nodes at each layer (layer 0 is outermost)."""
     counts: list[int] = []
-    stack: list[tuple[Formula, int]] = [(phi, 0)]
-    while stack:
-        f, layer = stack.pop()
-        if isinstance(f, Quant):
+    for f, layer, _ in scopes(phi):
+        if type(f) is Quant:
             if layer == len(counts):
                 counts.append(0)
             counts[layer] += 1
-            stack.append((f.body, layer + 1))
-        elif isinstance(f, App):
-            stack.extend((a, layer) for a in f.args)
     return counts
 
 

@@ -152,6 +152,86 @@ def layered_prenex_mc(phi: Formula, gen: FreshGen) -> Formula:
     return substitute(decomposition.skeleton, replacements)
 
 
+# ---------------------------------------------------------------------------
+# Reference scope walks: the hand-written stack loops that ``core.scopes``
+# replaced.  ``qdepth``, ``_layer_counts``, ``_binding_width`` and the scope
+# precondition of ``extract_quantifier`` must agree with them.
+
+def reference_qdepth(phi: Formula) -> int:
+    best = 0
+    stack: list[tuple[Formula, int]] = [(phi, 0)]
+    while stack:
+        f, d = stack.pop()
+        if isinstance(f, Quant):
+            stack.append((f.body, d + 1))
+        elif isinstance(f, App) and f.args:
+            stack.extend((a, d) for a in f.args)
+        else:
+            if d > best:
+                best = d
+    return best
+
+
+def reference_layer_counts(phi: Formula) -> list[int]:
+    counts: list[int] = []
+    stack: list[tuple[Formula, int]] = [(phi, 0)]
+    while stack:
+        f, layer = stack.pop()
+        if isinstance(f, Quant):
+            if layer == len(counts):
+                counts.append(0)
+            counts[layer] += 1
+            stack.append((f.body, layer + 1))
+        elif isinstance(f, App):
+            stack.extend((a, layer) for a in f.args)
+    return counts
+
+
+def reference_not_in_quantifier_scope(psi: Formula, name: str) -> bool:
+    stack: list[tuple[Formula, bool]] = [(psi, False)]
+    while stack:
+        f, inside = stack.pop()
+        if isinstance(f, Var):
+            if inside and f.name == name:
+                return False
+        elif isinstance(f, App):
+            stack.extend((a, inside) for a in f.args)
+        else:
+            if name in f.block:
+                return False
+            stack.append((f.body, True))
+    return True
+
+
+def reference_binding_width(phi: Formula) -> int:
+    width = 0
+    stack = [(phi, 0)]
+    while stack:
+        f, active = stack.pop()
+        if isinstance(f, App):
+            stack.extend((a, active) for a in f.args)
+        elif isinstance(f, Quant):
+            active += len(f.block)
+            width = max(width, active)
+            stack.append((f.body, active))
+    return width
+
+
+GENERATED_NAME_POOL = ("a", "b", "a@p1", "a@p2", "b@p1", "b@p3", "a@n1", "@a2")
+
+
+@functools.lru_cache(maxsize=1)
+def generated_name_inputs() -> tuple[tuple[Formula, int], ...]:
+    """3,000 inputs that mention generated names, each with a generator start
+    whose indices may collide with them."""
+    rng = random.Random(5)
+    inputs = []
+    for _ in range(3000):
+        phi = random_formula(rng, pool=GENERATED_NAME_POOL, max_size=rng.randint(3, 30))
+        inputs.append((phi, rng.randint(1, 4)))
+    return tuple(inputs)
+
+
 def evaluate_via_mc(
     valuation: Valuation, phi: Formula, table: OperatorTable | None = None
 ) -> int:

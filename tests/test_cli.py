@@ -133,6 +133,14 @@ class TestCheckCommand:
         assert run(["check", src, bogus]) == 2
         assert capsys.readouterr().out.startswith("FAIL")
 
+    def test_closed_failure_names_no_witness(self, tmp_path, capsys):
+        src = write(tmp_path, "c.fqbf", "exists x . x")
+        bogus = write(tmp_path, "f.fqbf", "false")
+        assert run(["check", src, bogus]) == 2
+        assert capsys.readouterr().out == (
+            "FAIL mode=sat input=True transformed=False witness: (closed formula)\n"
+        )
+
     def test_corrupted_transform_fails_with_witness(
         self, tmp_path, capsys, monkeypatch
     ):

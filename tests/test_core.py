@@ -210,7 +210,19 @@ class TestOperatorTable:
         ]:
             assert table.has(name)
             assert table.arity(name) == arity
-            assert len(table.truth_table(name)) == 2**arity
+            assert len(table.rows(name, arity)) == 2**arity
+
+    def test_rows_checks_the_argument_count(self):
+        table = _user_table()
+        assert table.rows("maj", 3) == (0, 0, 0, 1, 0, 1, 1, 1)
+        assert table.rows("one", 0) == (1,)
+        for op, n, arity in (("maj", 2, 3), ("maj", 4, 3), ("not", 0, 1), ("one", 1, 0)):
+            with pytest.raises(
+                ValueError, match=f"^operator '{op}' expects {arity} arguments, got {n}$"
+            ):
+                table.rows(op, n)
+        with pytest.raises(KeyError, match="unknown operator 'nope'"):
+            table.rows("nope", 0)
 
     def test_first_argument_most_significant(self):
         table = OperatorTable()

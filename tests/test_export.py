@@ -7,6 +7,7 @@ import pytest
 from qprenex.cli import _transform
 from qprenex.core import (
     App,
+    FALSE,
     FreshGen,
     Kind,
     OperatorTable,
@@ -114,6 +115,15 @@ class TestLowering:
         assert equivalent(problem.formula, lowered, problem.table)
         ops = {f.op for f in _walk_apps(lowered)}
         assert ops <= {"and", "or", "not", "true", "false"}
+
+    def test_wrong_argument_count_is_refused(self):
+        table = parse("op maj/3 : 00010111 ; maj(a, b, c)").table
+        a, b, c = Var("a"), Var("b"), Var("c")
+        for args in ((a, b, c, FALSE), (a, b)):
+            with pytest.raises(
+                ValueError, match=f"operator 'maj' expects 3 arguments, got {len(args)}$"
+            ):
+                lower_operators(App("maj", args), table)
 
     def test_zero_arity(self):
         table = OperatorTable()

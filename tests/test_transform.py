@@ -42,6 +42,7 @@ from helpers import (
     criterion_4_corpus,
     evaluate_via_mc,
     fold_constants,
+    generated_name_inputs,
     layered_prenex_mc,
     layered_prenex_tracked,
     oracle_problem,
@@ -455,11 +456,8 @@ class TestSinglePass:
     def test_matches_layered_on_generated_names(self):
         # Inputs that mention generated names, transformed with generators
         # whose indices may collide with them.
-        rng = random.Random(5)
-        pool = ("a", "b", "a@p1", "a@p2", "b@p1", "b@p3", "a@n1", "@a2")
-        for _ in range(3000):
-            phi = random_formula(rng, pool=pool, max_size=rng.randint(3, 30))
-            _same_as_layered(phi, start=rng.randint(1, 4))
+        for phi, start in generated_name_inputs():
+            _same_as_layered(phi, start=start)
             _same_as_layered(phi)
 
     @pytest.mark.parametrize(

@@ -230,6 +230,7 @@ def fold(
     phi: Formula,
     leave: Callable[[Formula, list], T],
     enter: Callable[[Quant], bool] | None = None,
+    memo: dict[int, T] | None = None,
 ) -> T:
     """Post-order fold of ``phi`` over an explicit stack.
 
@@ -240,6 +241,9 @@ def fold(
     applications and such quantifiers) get ``kids == ()``.  Nodes are entered
     and left depth-first, left to right, so the callbacks may keep context on
     a stack of their own, pushed in ``enter`` and popped in ``leave``.
+    With ``memo``, keyed by ``id``, an application object with arguments is
+    left once and its later occurrences reuse its value.  That is sound only
+    where a node's value does not depend on where it occurs.
     """
     values: list = []
     stack: list = [phi]
@@ -252,6 +256,10 @@ def fold(
             kids = values[-n:]
             del values[-n:]
             put(leave(f, kids))
+            if memo is not None and type(f) is App:
+                memo[id(f)] = values[-1]
+        elif memo is not None and id(f) in memo:
+            put(memo[id(f)])
         elif isinstance(f, App) and f.args:
             push(f)
             push(_LEAVE)

@@ -9,8 +9,9 @@ User-declared truth-table operators have no counterpart in QCIR/QDIMACS and
 must be lowered first with :func:`lower_operators` (minterm expansion over
 not/and/or); lowering is applied to matrices only, after prenexing, so it
 cannot disturb the size guarantees of the prenex step, and it rebuilds only
-the ancestors of user operators.  The QDIMACS writer folds constants in the
-walk that encodes the matrix.
+the ancestors of user operators and shares each argument among its minterms.
+The QCIR and QDIMACS writers give each application object one gate, and the
+QDIMACS writer folds constants in the walk that encodes the matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .core import (
     disj,
     fold,
     fold_app,
-    free_vars,
     is_prenex,
     neg,
     prefix_blocks,
@@ -63,42 +63,32 @@ class UnloweredOperator(Exception):
 
 
 @dataclass
-class ManifestEntry:
-    emitted: str
-    role: str
-    origin: str
-    index: str
-
-
-@dataclass
 class Manifest:
     """Provenance table for one export: variable origins plus run metadata."""
 
     mode: str = "sat"
     version: str = __version__
     digest: str = ""
-    entries: list[ManifestEntry] = field(default_factory=list)
+    entries: list[str | range] = field(default_factory=list)  # rows, or gate ids
 
     def record_name(self, emitted: str, name: str) -> None:
         info = classify_name(name)
-        if info is None:
-            self.entries.append(ManifestEntry(emitted, ROLE_SOURCE, name, "-"))
-        else:
-            self.entries.append(
-                ManifestEntry(emitted, info.role, info.origin, str(info.index))
-            )
+        row = (info.role, info.origin, info.index) if info else (ROLE_SOURCE, name, "-")
+        self.entries.append("{}\t{}\t{}\t{}".format(emitted, *row))
 
     def record_tseytin(self, ids: range) -> None:
-        self.entries.extend(ManifestEntry(str(i), ROLE_TSEYTIN, "-", "-") for i in ids)
+        self.entries.append(ids)
 
     def render(self) -> str:
         lines = [
             f"# qprenex-manifest mode={self.mode} version={self.version} "
             f"input-sha256={self.digest or '-'}"
         ]
-        lines.extend(
-            f"{e.emitted}\t{e.role}\t{e.origin}\t{e.index}" for e in self.entries
-        )
+        for entry in self.entries:
+            if type(entry) is range:
+                lines.extend(f"{i}\t{ROLE_TSEYTIN}\t-\t-" for i in entry)
+            else:
+                lines.append(entry)
         return "\n".join(lines) + "\n"
 
 
@@ -141,15 +131,25 @@ def to_prenex_text(phi: Formula) -> str:
 
 
 def _numbered_variables(
-    phi: Formula, manifest: Manifest | None
+    phi: Formula, manifest: Manifest | None, fmt: str
 ) -> tuple[dict[str, int], list[int], list[tuple[Kind, list[int]]], Formula, int]:
     """Assign integers to free then prefix variables, one per occurrence.
 
     A rebound name keeps its innermost id in the lookup table, which is the
     binding the matrix sees; returns lookup, free ids, numbered blocks,
-    matrix, and the highest id handed out.
+    matrix, and the highest id handed out.  Raises :class:`NotPrenex`.
     """
     blocks, matrix = prefix_blocks(phi)
+    occurring, seen, stack = set(), set(), [matrix]
+    while stack:
+        f = stack.pop()
+        if type(f) is Var:
+            occurring.add(f.name)
+        elif type(f) is Quant:
+            raise NotPrenex(f"{fmt} export needs a prenex formula")
+        elif id(f) not in seen:
+            seen.add(id(f))
+            stack.extend(f.args)
     ids: dict[str, int] = {}
     top = 0
 
@@ -161,7 +161,7 @@ def _numbered_variables(
             manifest.record_name(str(top), name)
         return top
 
-    free = [assign(name) for name in sorted(free_vars(phi))]
+    free = [assign(n) for n in sorted(occurring.difference(*(b for _, b in blocks)))]
     numbered = [
         (kind, [assign(x) for x in names]) for kind, names in blocks if names
     ]
@@ -185,10 +185,8 @@ def to_qcir(
     table: OperatorTable | None = None,
     manifest: Manifest | None = None,
 ) -> str:
-    """Cleansed prenex QCIR-G14 text."""
-    if not is_prenex(phi):
-        raise NotPrenex("QCIR export needs a prenex formula")
-    ids, free, blocks, matrix, top = _numbered_variables(phi, manifest)
+    """Cleansed prenex QCIR-G14 text, one gate per application object."""
+    ids, free, blocks, matrix, top = _numbered_variables(phi, manifest, "QCIR")
     counter = top
     gates: list[str] = []
 
@@ -205,15 +203,13 @@ def to_qcir(
         gates.append(f"{counter} = {gate(*lits)}")
         return counter
 
-    output = fold(matrix, leave)
+    output = fold(matrix, leave, memo={})
     if manifest is not None:
         manifest.record_tseytin(range(top + 1, counter + 1))
     lines = [f"#QCIR-G14 {counter}"]
     if free:
         lines.append(f"free({', '.join(str(i) for i in free)})")
-    for kind, block_ids in blocks:
-        keyword = "exists" if kind is Kind.EXISTS else "forall"
-        lines.append(f"{keyword}({', '.join(str(i) for i in block_ids)})")
+    lines += [f"{kind.value}({', '.join(map(str, block))})" for kind, block in blocks]
     lines.append(f"output({output})")
     lines.extend(gates)
     return "\n".join(lines) + "\n"
@@ -233,6 +229,15 @@ _GATE_TEXT = {
 }
 
 
+class _MarkingMemo(dict):
+    """The QDIMACS fold's memo: a hit adds no gate, so, like a leaf, it
+    pushes its mark (see ``to_qdimacs``) beside its value."""
+
+    def __getitem__(self, key: int) -> int | Formula:
+        self.marks.append((len(self.parts), len(self)))
+        return dict.__getitem__(self, key)
+
+
 def to_qdimacs(
     phi: Formula,
     table: OperatorTable | None = None,
@@ -246,27 +251,27 @@ def to_qdimacs(
     universal block in ``valid`` mode.  Definition variables go into a final
     innermost existential block; adjacent same-kind blocks merge so the
     prefix alternates strictly.  Constants are folded (:func:`fold_app`) in
-    the same walk that encodes the matrix.
+    the same walk that encodes the matrix, and each application object is
+    encoded once.
     """
     if mode not in ("sat", "valid"):
         raise ValueError(f"unsupported mode '{mode}'")
-    if not is_prenex(phi):
-        raise NotPrenex("QDIMACS export needs a prenex formula")
     table = table or DEFAULT_TABLE
-    ids, free, blocks, matrix, top = _numbered_variables(phi, manifest)
+    ids, free, blocks, matrix, top = _numbered_variables(phi, manifest, "QDIMACS")
     if free:
         outer = Kind.EXISTS if mode == "sat" else Kind.FORALL
         blocks = [(outer, free)] + blocks
     counter = top
-    parts: list[str] = []  # clause text, one entry per gate
-    # Beside each value of the fold, the gate count where its subtree began.
-    # A value is an int literal or TRUE / FALSE, never a bool: ``True == 1``.
-    marks: list[int] = []
+    memo = _MarkingMemo()
+    memo.parts = parts = []  # clause text, one entry per gate
+    # Beside each value of the fold, the gate and memo counts where its subtree
+    # began.  A value is an int literal or TRUE / FALSE, never a bool (True == 1).
+    memo.marks = marks = []
 
     def leave(f: Formula, lits: list) -> int | Formula:
         nonlocal counter
         if not lits:
-            marks.append(counter)
+            marks.append((len(parts), len(memo)))
             if isinstance(f, Var):
                 return ids[f.name]
         elif len(lits) > 1:
@@ -282,15 +287,19 @@ def to_qdimacs(
         if type(value) is int:
             return value
         if value is TRUE or value is FALSE:
-            # Folding first would never have encoded the open kids this drops.
-            counter = marks[-1]
-            del parts[counter - top:]
+            # Folding first would never have encoded the open kids this drops,
+            # so take back their gates and the memo entries that name them.
+            gates, entries = marks[-1]
+            counter = top + gates
+            del parts[gates:]
+            for _ in range(len(memo) - entries):
+                memo.popitem()
             return value
         if value.op == "not":
             return -value.args[0]
         raise UnloweredOperator(f.op)
 
-    output = fold(matrix, leave)
+    output = fold(matrix, leave, memo=memo)
     if manifest is not None:
         manifest.record_tseytin(range(top + 1, counter + 1))
     if counter > top:

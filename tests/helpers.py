@@ -23,7 +23,6 @@ from qprenex.core import (
     fold_app,
     free_vars,
     is_boolean,
-    is_prenex,
     nblock,
     nbvar,
     substitute,
@@ -43,6 +42,7 @@ from qprenex.parser import (
     Problem,
     _declarations,
     format_problem,
+    parse,
     parse_formula,
 )
 from qprenex.semantics import Valuation, evaluate
@@ -259,6 +259,16 @@ def evaluate_via_mc(
     return fold(parts, leave, lambda q: False)  # prenex parts are leaves
 
 
+def nested_maj(depth: int) -> Problem:
+    """``maj(prev, exists x_i . x_i xor w_i, u_i)`` nested ``depth`` deep on
+    ``u0``: lowering shares each argument among four minterms, so the lowered
+    matrix is linear as a DAG and grows 4^depth as a tree."""
+    text = "u0"
+    for i in range(1, depth + 1):
+        text = f"maj({text}, exists x{i} . x{i} xor w{i}, u{i})"
+    return parse(f"op maj/3 : 00010111 ; {text}")
+
+
 def cli_outputs(problem: Problem, mode: str, fmt: str) -> tuple[str, str]:
     """The formula file and ``.map`` text the CLI writes for one input, made
     by the functions ``qprenex prenex`` calls."""
@@ -276,14 +286,16 @@ def cli_outputs(problem: Problem, mode: str, fmt: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # Reference QDIMACS writer: fold the whole matrix first with
 # ``fold_constants``, then encode it with one clause list per schema entry.
-# ``to_qdimacs`` folds while it encodes and must write exactly this text and
-# ``.map``.
+# Both folds pass an identity memo, so each application object is folded,
+# and each folded object encoded, once.  ``to_qdimacs`` folds while it
+# encodes and must write exactly this text and ``.map``.
 
 def fold_constants(phi: Formula, table: OperatorTable | None = None) -> Formula:
     """Bottom-up propagation of ``true``/``false`` through built-in operators.
 
     User operators fold only when all arguments are constant (needs ``table``).
-    Quantifier bodies are folded in place; blocks are untouched.
+    Quantifier bodies are folded in place; blocks are untouched.  A node
+    object that occurs twice is folded once, to one object.
     """
     table = table or DEFAULT_TABLE
 
@@ -294,7 +306,7 @@ def fold_constants(phi: Formula, table: OperatorTable | None = None) -> Formula:
             return Quant(f.kind, f.block, kids[0])
         return f
 
-    return fold(phi, leave)
+    return fold(phi, leave, memo={})
 
 
 _GATE_CLAUSES = {  # gate <-> op(a, b), with 1 = gate, 2 = a, 3 = b
@@ -314,9 +326,7 @@ def reference_to_qdimacs(
 ) -> str:
     if mode not in ("sat", "valid"):
         raise ValueError(f"unsupported mode '{mode}'")
-    if not is_prenex(phi):
-        raise NotPrenex("QDIMACS export needs a prenex formula")
-    ids, free, blocks, matrix, counter = _numbered_variables(phi, manifest)
+    ids, free, blocks, matrix, counter = _numbered_variables(phi, manifest, "QDIMACS")
     if free:
         outer = Kind.EXISTS if mode == "sat" else Kind.FORALL
         blocks = [(outer, free)] + blocks
@@ -353,7 +363,7 @@ def reference_to_qdimacs(
     if matrix == FALSE:
         clauses.append([])
     elif matrix != TRUE:
-        clauses.append([fold(matrix, leave)])
+        clauses.append([fold(matrix, leave, memo={})])
 
     if definitions:
         blocks = blocks + [(Kind.EXISTS, definitions)]

@@ -8,15 +8,22 @@ from qprenex.cli import _transform
 from qprenex.core import (
     App,
     FALSE,
+    TRUE,
     FreshGen,
     Kind,
     OperatorTable,
     Quant,
     Var,
+    conj,
+    disj,
     free_vars,
+    iff,
+    implies,
     is_prenex,
+    neg,
     nodes,
     vars_of,
+    xor,
 )
 from qprenex.export import (
     CORE_EXPORT_OPS,
@@ -42,7 +49,13 @@ from qprenex.semantics import (
 )
 from qprenex.transform import SizeBudgetExceeded, naive_prenex, prenex, prenex_mc
 
-from helpers import cli_outputs, oracle_problem, reference_to_qdimacs, worked_example
+from helpers import (
+    cli_outputs,
+    nested_maj,
+    oracle_problem,
+    reference_to_qdimacs,
+    worked_example,
+)
 from test_golden import golden_corpora
 
 
@@ -340,6 +353,11 @@ def _hand_corpus() -> list[str]:
         "op t/0 : 1 ; op f/0 : 0 ; (e xor ((a & b) | t)) -> (f <-> (c & d))",
         "op m/2 : 0110 ; m(true, a & b) | (c <-> d)",
         "op maj/3 : 00010111 ; exists x . maj(true, x & a, b) xor maj(a, false, (b | c))",
+        # Lowering shares ``p & q`` among the minterms; the first one encodes
+        # it under ``& false``, the later ones must encode it afresh.
+        "op maj/3 : 00010111 ; maj(p & q, false, r)",
+        "op maj/3 : 00010111 ; forall r . maj((p & q) xor s, r, false) | (s <-> r)",
+        "op maj/3 : 00010111 ; maj(p | q, maj(p & q, false, r), false -> s)",
     ]
     return texts
 
@@ -388,10 +406,63 @@ class TestOnePassQdimacs:
                 if is_prenex(result):
                     self._assert_matches_reference(result, None)
 
+    def test_shared_subtrees_dropped_by_a_constant(self):
+        # ``s`` is encoded first inside a subtree that a constant then drops,
+        # and reused afterwards: the reuse must not name a gate taken back.
+        s = parse_formula("(a & b) xor c")
+        d, e = Var("d"), Var("e")
+        dropping = (
+            conj(conj(neg(s), d), FALSE),
+            disj(conj(s, d), TRUE),
+            implies(FALSE, disj(d, s)),
+            implies(iff(s, d), TRUE),
+            xor(conj(s, FALSE), d),
+        )
+        for dropped in dropping:
+            for phi in (
+                conj(dropped, iff(s, e)),
+                disj(xor(e, dropped), conj(neg(s), d)),
+                iff(conj(dropped, s), dropped),
+            ):
+                self._assert_matches_reference(phi, None)
+                self._assert_matches_reference(Quant(Kind.FORALL, ("c",), phi), None)
+
     def test_unlowered_user_operator(self):
         problem = parse("op maj/3 : 00010111 ; exists x . maj(x, a, b) & true")
         with pytest.raises(UnloweredOperator, match="'maj'"):
             to_qdimacs(problem.formula, problem.table)
+
+
+class TestSharedSubformulas:
+    """A lowered matrix is a DAG; each application object is encoded once."""
+
+    def test_shared_subformula_is_one_gate(self):
+        s = parse_formula("a & b")
+        phi = disj(s, xor(s, Var("c")))
+        assert to_qcir(phi) == (
+            "#QCIR-G14 6\n"
+            "free(1, 2, 3)\n"
+            "output(6)\n"
+            "4 = and(1, 2)\n"
+            "5 = xor(4, 3)\n"
+            "6 = or(4, 5)\n"
+        )
+        assert to_qdimacs(phi).splitlines()[0] == "p cnf 6 11"
+
+    def test_nested_maj_grows_linearly(self):
+        # As a tree, each level multiplies the lowered matrix by four.
+        for mode in ("sat", "valid"):
+            for fmt in ("qcir", "qdimacs"):
+                sizes = []
+                for depth in range(1, 11):
+                    text, sidecar = cli_outputs(nested_maj(depth), mode, fmt)
+                    header = text.split("\n", 1)[0].split()
+                    top = int(header[1] if fmt == "qcir" else header[2])
+                    assert len(sidecar.splitlines()) == top + 1
+                    sizes.append(len(text))
+                steps = [b - a for a, b in zip(sizes, sizes[1:])]
+                assert max(steps) <= 1.5 * steps[0], (mode, fmt, sizes)
+                assert sizes[-1] < 10_000, (mode, fmt, sizes)
 
 
 def is_prenex_header_consistent(text: str) -> bool:
@@ -401,21 +472,27 @@ def is_prenex_header_consistent(text: str) -> bool:
     return len(clause_lines) == int(nclauses)
 
 
+def _manifest_rows(manifest: Manifest) -> list[list[str]]:
+    """The rendered sidecar's rows below its header, split into fields."""
+    return [row.split("\t") for row in manifest.render().splitlines()[1:]]
+
+
 class TestManifest:
     def test_covers_exactly_emitted_variables(self):
         phi = prenex(Kind.EXISTS, worked_example(), FreshGen())
         manifest = Manifest(mode="sat", digest="abc")
         text = to_qdimacs(phi, manifest=manifest)
         nvars = int(text.splitlines()[0].split()[2])
-        emitted = {entry.emitted for entry in manifest.entries}
+        rows = _manifest_rows(manifest)
+        emitted = {row[0] for row in rows}
         assert emitted == {str(i) for i in range(1, nvars + 1)}
-        assert len(manifest.entries) == nvars
+        assert len(rows) == nvars
 
     def test_roles_and_render(self):
         phi = prenex(Kind.EXISTS, worked_example(), FreshGen())
         manifest = Manifest(mode="sat", digest="deadbeef")
         manifest_for_text_export(phi, manifest)
-        roles = {e.role for e in manifest.entries}
+        roles = {row[1] for row in _manifest_rows(manifest)}
         assert {"source", "pos-copy", "neg-copy", "abbrev"} <= roles
         rendered = manifest.render()
         header, *rows = rendered.strip().splitlines()
@@ -428,7 +505,7 @@ class TestManifest:
     def test_qcir_gate_roles(self):
         manifest = Manifest()
         to_qcir(parse_formula("exists x . x & ~x"), manifest=manifest)
-        by_role = {e.role for e in manifest.entries}
+        by_role = {row[1] for row in _manifest_rows(manifest)}
         assert by_role == {"source", "tseytin"}
 
 

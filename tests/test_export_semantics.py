@@ -1,8 +1,9 @@
 """Differential checks of the emitted solver formats.
 
 The evaluators below work on the exported *text* only, so they share no code
-with the writers: QDIMACS blocks and clauses are enumerated recursively, and
-QCIR gates are computed as plain boolean functions. Their verdicts must match
+with the writers: QDIMACS blocks are enumerated recursively and an innermost
+existential block is decided by unit propagation and splitting, and QCIR
+gates are computed as plain boolean functions. Their verdicts must match
 the oracle's verdict on the source formula.
 """
 
@@ -10,14 +11,47 @@ import random
 from itertools import product
 
 from qprenex.core import FreshGen, Kind, free_vars, nblock, nbvar
-from qprenex.export import to_qcir, to_qdimacs
+from qprenex.export import lower_operators, to_qcir, to_qdimacs
 from qprenex.generate import random_formula
 from qprenex.parser import parse_formula
 from qprenex.semantics import Valuation, evaluate, satisfiable, valid
 from qprenex.transform import prenex
 
+from helpers import nested_maj
 
-def qdimacs_value(text: str) -> bool:
+
+def cnf_satisfiable(clauses: list[list[int]], env: dict[int, int]) -> bool:
+    """Whether some extension of ``env`` satisfies every clause."""
+    env = dict(env)
+    while True:
+        branch = None  # an open clause with two or more unassigned literals
+        propagated = False
+        for clause in clauses:
+            unassigned = []
+            for lit in clause:
+                value = env.get(abs(lit))
+                if value is None:
+                    unassigned.append(lit)
+                elif value == (1 if lit > 0 else 0):
+                    break
+            else:
+                if not unassigned:
+                    return False
+                if len(unassigned) == 1:
+                    env[abs(unassigned[0])] = 1 if unassigned[0] > 0 else 0
+                    propagated = True
+                elif branch is None:
+                    branch = unassigned
+        if not propagated:
+            break
+    if branch is None:
+        return True
+    var = abs(branch[0])
+    return any(cnf_satisfiable(clauses, {**env, var: bit}) for bit in (1, 0))
+
+
+def qdimacs_value(text: str, inputs: dict[int, int] | None = None) -> bool:
+    """The value of the QDIMACS text with the ids in ``inputs`` fixed."""
     lines = text.splitlines()
     blocks: list[tuple[str, list[int]]] = []
     clauses: list[list[int]] = []
@@ -29,12 +63,10 @@ def qdimacs_value(text: str) -> bool:
             clauses.append([int(t) for t in tokens[:-1]])
 
     def level(i: int, env: dict[int, int]) -> bool:
-        if i == len(blocks):
-            return all(
-                any(env[abs(lit)] == (1 if lit > 0 else 0) for lit in clause)
-                for clause in clauses
-            )
+        if i == len(blocks) or (i == len(blocks) - 1 and blocks[i][0] == "e"):
+            return cnf_satisfiable(clauses, env)
         marker, ids = blocks[i]
+        ids = [x for x in ids if x not in env]
         for bits in product((0, 1), repeat=len(ids)):
             value = level(i + 1, {**env, **dict(zip(ids, bits))})
             if marker == "e" and value:
@@ -43,7 +75,7 @@ def qdimacs_value(text: str) -> bool:
                 return False
         return marker == "a"
 
-    return level(0, {})
+    return level(0, dict(inputs or {}))
 
 
 def qcir_value(text: str, inputs: dict[int, int]) -> int:
@@ -158,3 +190,29 @@ class TestQcirDifferential:
                 # free variables are numbered first, in sorted order
                 inputs = dict(enumerate(bits, start=1))
                 assert qcir_value(text, inputs) == evaluate(valuation, transformed)
+
+
+class TestSharedEncoding:
+    """Nested ``maj`` lowers to a DAG, encoded with one gate per shared node."""
+
+    def test_nested_maj_matches_oracle(self):
+        rng = random.Random(179)
+        for depth in range(1, 5):
+            problem = nested_maj(depth)
+            phi, table = problem.formula, problem.table
+            for mode, kind in (("sat", Kind.EXISTS), ("valid", Kind.FORALL)):
+                transformed = prenex(kind, phi, FreshGen.for_formula(phi))
+                lowered = lower_operators(transformed, table)
+                qcir = to_qcir(lowered, table)
+                qdimacs = to_qdimacs(lowered, table, mode)
+                if depth < 4:  # the sat verdict enumerates 2^21 at depth 4
+                    verdict = satisfiable(phi, table) if mode == "sat" else valid(phi, table)
+                    assert qdimacs_value(qdimacs) is verdict
+                # Free names are numbered first, in sorted order.
+                names = sorted(free_vars(transformed))
+                for _ in range(12):
+                    bits = [rng.randint(0, 1) for _ in names]
+                    want = evaluate(Valuation(dict(zip(names, bits))), transformed, table)
+                    inputs = dict(enumerate(bits, start=1))
+                    assert qcir_value(qcir, inputs) == want
+                    assert qdimacs_value(qdimacs, inputs) is bool(want)

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .core import (
     Formula,
-    FreshGen,
     Kind,
     free_vars,
     length,
@@ -63,12 +62,12 @@ def _at_least(flag: str, value: int, low: int) -> None:
         raise _InputError(f"{flag} must be at least {low}, got {value}")
 
 
-def _transform(mode: str, formula: Formula, gen: FreshGen) -> Formula:
+def _transform(mode: str, formula: Formula) -> Formula:
     if mode == "sat":
-        return prenex(Kind.EXISTS, formula, gen)
+        return prenex(Kind.EXISTS, formula)
     if mode == "valid":
-        return prenex(Kind.FORALL, formula, gen)
-    return prenex_mc(formula, gen)
+        return prenex(Kind.FORALL, formula)
+    return prenex_mc(formula)
 
 
 def _read_problem(path: str, allow_internal: bool) -> Problem:
@@ -108,7 +107,7 @@ def cmd_prenex(args: argparse.Namespace) -> int:
     formula = problem.formula
     in_length = length(formula)
     start = time.perf_counter()
-    result = _transform(args.mode, formula, FreshGen.for_formula(formula))
+    result = _transform(args.mode, formula)
     elapsed = time.perf_counter() - start
     out_length = length(result)
     ratio = out_length / in_length if in_length else 0.0
@@ -170,7 +169,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             needed = len(free_vars(formula))
             if needed > cap:
                 raise RefusalError(needed, cap)
-            transformed = _transform(args.mode, formula, FreshGen.for_formula(formula))
+            transformed = _transform(args.mode, formula)
         if args.mode == "mc":
             witness = find_disagreement(formula, transformed, table, cap)
             if witness is None:
@@ -233,7 +232,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     def measure(name: str, formula: Formula) -> None:
         in_length = length(formula)
         start = time.perf_counter()
-        transformed = prenex(Kind.EXISTS, formula, FreshGen.for_formula(formula))
+        transformed = prenex(Kind.EXISTS, formula)
         tr_time = time.perf_counter() - start
         tr_length = length(transformed)
         start = time.perf_counter()

@@ -547,9 +547,11 @@ class FreshGen:
     """Deterministic allocator of fresh-name indices.
 
     All derived names contain the reserved character ``@``, so they can never
-    collide with source-parsed variables.  When the input formula itself
-    contains generated names (re-ingested output), start the counter past
-    every index already present via :meth:`for_formula`.
+    collide with source-parsed variables.  An input may still contain
+    generated names (re-ingested output), so every transform that allocates
+    indices calls :meth:`advance_past` on its input first: whatever generator
+    the caller passes, no index it then hands out names a variable of the
+    input.
     """
 
     def __init__(self, start: int = 1) -> None:
@@ -559,12 +561,16 @@ class FreshGen:
 
     @classmethod
     def for_formula(cls, phi: Formula) -> "FreshGen":
-        highest = 0
+        return cls().advance_past(phi)
+
+    def advance_past(self, phi: Formula) -> "FreshGen":
+        """Move past every index a generated name in ``phi`` carries; never back."""
         for name in vars_of(phi):
-            info = classify_name(name)
-            if info is not None and info.index > highest:
-                highest = info.index
-        return cls(highest + 1)
+            if RESERVED_CHAR in name:
+                info = classify_name(name)
+                if info is not None and info.index >= self._next:
+                    self._next = info.index + 1
+        return self
 
     def allocate(self) -> int:
         return self.reserve(1)

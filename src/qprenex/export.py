@@ -94,7 +94,8 @@ class Manifest:
 
 def lower_operators(phi: Formula, table: OperatorTable | None = None) -> Formula:
     """Replace user truth-table operators by their minterm expansions;
-    every subtree without one is shared, not copied."""
+    every subtree without one is shared, not copied, and an application
+    object that occurs more than once is lowered once."""
     table = table or DEFAULT_TABLE
 
     def leave(f: Formula, kids: list) -> Formula:
@@ -120,7 +121,7 @@ def lower_operators(phi: Formula, table: OperatorTable | None = None) -> Formula
             minterms.append(term)
         return reduce(disj, minterms) if minterms else FALSE
 
-    return fold(phi, leave)
+    return fold(phi, leave, memo={})
 
 
 def to_prenex_text(phi: Formula) -> str:

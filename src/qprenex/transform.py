@@ -27,19 +27,15 @@ from dataclasses import dataclass
 
 from .core import (
     App,
-    CaptureError,
     FALSE,
     Formula,
     FreshGen,
     Kind,
     Quant,
-    ROLE_POS,
     TRUE,
-    RESERVED_CHAR,
     Var,
     abbrev_name,
     big_conj,
-    classify_name,
     conj,
     fold,
     fold_app,
@@ -111,7 +107,7 @@ def decompose_outermost(phi: Formula, gen: FreshGen | None = None) -> Decomposit
     distinct abbreviation variables (tree semantics, no sharing).  A boolean
     input yields itself with no bindings.
     """
-    gen = gen or FreshGen.for_formula(phi)
+    gen = (gen or FreshGen()).advance_past(phi)
     bindings: list[Binding] = []
 
     def leave(f: Formula, kids: list) -> Formula:
@@ -145,7 +141,7 @@ def extract_quantifier(
     copies, and ``p`` itself existentially inside, with one guard equation per
     quantified variable.
     """
-    gen = gen or FreshGen.for_formula(conj(psi, phi))
+    gen = (gen or FreshGen()).advance_past(conj(psi, phi))
     if p not in vars_of(psi):
         raise PreconditionError(f"'{p}' does not occur in the host formula")
     if p in free_vars(phi):
@@ -189,7 +185,7 @@ def step_transform(kind: Kind, phi: Formula, gen: FreshGen | None = None) -> Ste
     conjoined with the skeleton when ``kind`` is FORALL and made to imply it
     when ``kind`` is EXISTS.
     """
-    gen = gen or FreshGen.for_formula(phi)
+    gen = gen or FreshGen()  # decompose_outermost advances it past phi
     decomposition = decompose_outermost(phi, gen)
     if not decomposition.bindings:
         return StepResult(phi, frozenset(), frozenset())
@@ -233,24 +229,6 @@ def _layer_counts(phi: Formula) -> list[int]:
     return counts
 
 
-def _check_capture(f: Quant, env: dict[str, Var]) -> None:
-    """Raise :class:`CaptureError` where ``f`` rebinds a positive copy that
-    currently stands for a variable occurring free in its body.
-
-    Only a generator whose indices collide with names already in the input
-    can cause this; it is the check :func:`substitute` makes for the
-    layered construction.
-    """
-    for y in f.block:
-        info = classify_name(y)
-        if info is None or info.role != ROLE_POS or info.origin in f.block:
-            continue
-        current = env.get(info.origin)
-        if current is not None and current.name == y:
-            if info.origin in free_vars(f.body):
-                raise CaptureError(info.origin, y, f.block)
-
-
 def prenex_tracked(
     kind: Kind, phi: Formula, gen: FreshGen | None = None
 ) -> tuple[Formula, frozenset[str]]:
@@ -264,7 +242,7 @@ def prenex_tracked(
     and files the node's definition and guard under its layer.  The cores
     and fused blocks are assembled inside out at the end.
     """
-    gen = gen or FreshGen.for_formula(phi)
+    gen = (gen or FreshGen()).advance_past(phi)
     counts = _layer_counts(phi)
     if not counts:
         return phi, frozenset()
@@ -282,8 +260,6 @@ def prenex_tracked(
     frames: list[tuple[int, list[tuple[str, Var]], list[Var]]] = []
 
     def enter(f: Quant) -> bool:
-        if any(RESERVED_CHAR in y for y in f.block):
-            _check_capture(f, env)
         layer = len(frames)
         index = next_index[layer]
         next_index[layer] = index + 1
@@ -349,7 +325,7 @@ def prenex_mc(phi: Formula, gen: FreshGen | None = None) -> Formula:
     original block; the boolean skeleton survives as-is, so free variables
     are untouched.
     """
-    gen = gen or FreshGen.for_formula(phi)
+    gen = gen or FreshGen()  # decompose_outermost advances it past phi
     decomposition = decompose_outermost(phi, gen)
     if not decomposition.bindings:
         return phi
@@ -504,5 +480,5 @@ def naive_prenex(
     which is one arbitrary sound choice among many.  Raises
     :class:`SizeBudgetExceeded` when the output length passes ``budget``.
     """
-    gen = gen or FreshGen.for_formula(phi)
+    gen = (gen or FreshGen()).advance_past(phi)
     return _NaivePrenexer(gen, budget).run(phi)

@@ -127,7 +127,9 @@ def layered_prenex_tracked(
 
     Each step re-walks the whole accumulated matrix, so this is quadratic in
     the quantifier depth; ``prenex_tracked`` must produce exactly its output.
+    Like ``prenex_tracked``, it first advances ``gen`` past ``phi``.
     """
+    gen.advance_past(phi)
     steps = []
     q = kind
     while not is_boolean(phi):
@@ -144,7 +146,7 @@ def layered_prenex_tracked(
 
 def layered_prenex_mc(phi: Formula, gen: FreshGen) -> Formula:
     """Reference ``prenex_mc`` built on :func:`layered_prenex_tracked`."""
-    decomposition = decompose_outermost(phi, gen)
+    decomposition = decompose_outermost(phi, gen)  # advances gen past phi
     replacements = {}
     for b in decomposition.bindings:
         inner, negatives = layered_prenex_tracked(b.kind, b.body, gen)
@@ -274,7 +276,7 @@ def cli_outputs(problem: Problem, mode: str, fmt: str) -> tuple[str, str]:
     by the functions ``qprenex prenex`` calls."""
     source = format_problem(problem) + "\n"
     formula = problem.formula
-    result = _transform(mode, formula, FreshGen.for_formula(formula))
+    result = _transform(mode, formula)
     manifest = Manifest(mode=mode, digest=hashlib.sha256(source.encode()).hexdigest())
     try:
         text = export_text(problem, result, fmt, manifest)

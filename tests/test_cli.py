@@ -91,7 +91,7 @@ class TestPrenexCommand:
 
         src = write(tmp_path, "in.fqbf", "exists x . x & a")
         huge = big_conj([Var(f"z{i}") for i in range(200)])
-        monkeypatch.setattr(climod, "prenex", lambda kind, phi, gen: huge)
+        monkeypatch.setattr(climod, "prenex", lambda kind, phi, gen=None: huge)
         code = run(["prenex", src, "--out", str(tmp_path / "o.fqbf")])
         assert code == 2
         assert "exceeds" in capsys.readouterr().err
@@ -127,6 +127,21 @@ class TestCheckCommand:
             assert run(["check", src, out, "--mode", mode]) == 0
             assert capsys.readouterr().out.splitlines()[-1].startswith("PASS")
 
+    def test_transformed_output_transforms_again(self, tmp_path, capsys):
+        # The mc output is re-read with its generated names, and its second
+        # transform must not reuse one of them.
+        src = write(tmp_path, "in.fqbf", "a xor (exists x . (forall y . x xor y) <-> b)")
+        once = str(tmp_path / "once.fqbf")
+        twice = str(tmp_path / "twice.fqbf")
+        assert run(["prenex", src, "--mode", "mc", "--out", once]) == 0
+        assert "@" in (tmp_path / "once.fqbf").read_text()
+        for mode in ("sat", "valid", "mc"):
+            assert run(["prenex", once, "--allow-internal-names", "--mode", mode,
+                        "--out", twice]) == 0
+            capsys.readouterr()
+            assert run(["check", src, twice, "--mode", mode]) == 0
+            assert capsys.readouterr().out.startswith("PASS")
+
     def test_check_two_files_catches_wrong_artifact(self, tmp_path, capsys):
         src = write(tmp_path, "in.fqbf", "exists x . x & ~x")
         bogus = write(tmp_path, "bogus.fqbf", "w | ~w")
@@ -150,7 +165,7 @@ class TestCheckCommand:
         # a guard-polarity-style corruption: swap in a satisfiable formula
         # for the unsatisfiable input's transform
         monkeypatch.setattr(
-            climod, "prenex", lambda kind, phi, gen: parse_formula("w | ~w")
+            climod, "prenex", lambda kind, phi, gen=None: parse_formula("w | ~w")
         )
         code = run(["check", src])
         out = capsys.readouterr().out
@@ -163,7 +178,7 @@ class TestCheckCommand:
 
         src = write(tmp_path, "in.fqbf", "a xor (exists x . x & b)")
         monkeypatch.setattr(
-            climod, "prenex_mc", lambda phi, gen: parse_formula("a & b")
+            climod, "prenex_mc", lambda phi, gen=None: parse_formula("a & b")
         )
         code = run(["check", src, "--mode", "mc"])
         out = capsys.readouterr().out
@@ -182,7 +197,7 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("mode", ["sat", "valid", "mc"])
     def test_refuses_before_transforming(self, tmp_path, capsys, monkeypatch, mode):
-        def transform(mode, formula, gen):
+        def transform(mode, formula):
             raise AssertionError("transformed an input the oracle refuses")
 
         monkeypatch.setattr(cli, "_transform", transform)
@@ -203,7 +218,7 @@ def _imp_chain(depth):
 def test_recursion_fault_is_one_line_with_exit_2(tmp_path, capsys, monkeypatch, command):
     # No stage recurses on its input any more, so a runaway stage stands in
     # for one that did.
-    def runaway(phi, gen):
+    def runaway(phi, gen=None):
         return runaway(phi, gen)
 
     monkeypatch.setattr(cli, "prenex_mc", runaway)

@@ -363,6 +363,13 @@ class TestFreshGen:
         gen = FreshGen.for_formula(phi)
         assert gen.allocate() == 5
 
+    def test_advance_past_only_moves_forward(self):
+        phi = conj(Var("x@p4"), Var("@a2"))
+        gen = FreshGen(2)
+        assert gen.advance_past(phi) is gen
+        assert gen.allocate() == 5
+        assert FreshGen(9).advance_past(phi).allocate() == 9
+
     def test_deterministic(self):
         a = FreshGen()
         b = FreshGen()

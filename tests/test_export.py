@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 from itertools import product
 
 import pytest
@@ -176,6 +177,16 @@ class TestLoweringShares:
                 assert (id(f) in kept) is not has_user
                 rebuilt += has_user
         assert rebuilt > 0
+
+    def test_shared_input_is_lowered_once_per_object(self):
+        # Lowered nested maj shares each argument among four minterms: under
+        # 200 objects, but 4^10 nodes as a tree, which takes tens of seconds
+        # to walk.
+        problem = nested_maj(10)
+        lowered = lower_operators(problem.formula, problem.table)
+        start = time.perf_counter()
+        assert lower_operators(lowered, problem.table) is lowered
+        assert time.perf_counter() - start < 1.0
 
     def test_deep_input_lowers_at_the_default_recursion_limit(self):
         problem = parse("op maj/3 : 00010111 ; maj(a, b, c)")
@@ -379,7 +390,7 @@ class TestOnePassQdimacs:
             for problem in problems:
                 phi = problem.formula
                 for mode in ("sat", "valid", "mc"):
-                    result = _transform(mode, phi, FreshGen.for_formula(phi))
+                    result = _transform(mode, phi)
                     if is_prenex(result):
                         lowered = lower_operators(result, problem.table)
                         self._assert_matches_reference(lowered, problem.table)
@@ -402,7 +413,7 @@ class TestOnePassQdimacs:
                 rng, pool=("a", "b", "c", "d"), max_depth=2, max_size=30, const_weight=0.3
             )
             for mode in ("sat", "valid", "mc"):
-                result = _transform(mode, phi, FreshGen.for_formula(phi))
+                result = _transform(mode, phi)
                 if is_prenex(result):
                     self._assert_matches_reference(result, None)
 

@@ -81,7 +81,7 @@ class TestScopes:
                 phi = problem.formula
                 _agree(phi)
                 for mode in MODES:
-                    output = _transform(mode, phi, FreshGen.for_formula(phi))
+                    output = _transform(mode, phi)
                     _agree(output, _some_names(output))
 
     def test_criterion_4_inputs_and_sat_outputs(self):

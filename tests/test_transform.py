@@ -4,12 +4,12 @@ import pytest
 
 from qprenex.core import (
     App,
-    CaptureError,
     FreshGen,
     Kind,
     Quant,
     TRUE,
     Var,
+    bound_vars,
     classify_name,
     exists,
     free_vars,
@@ -27,7 +27,7 @@ from qprenex.core import (
 from qprenex.export import lower_operators, to_qcir, to_qdimacs
 from qprenex.generate import nested_iff_family, random_formula
 from qprenex.parser import format_formula, parse_formula
-from qprenex.semantics import Valuation, equisatisfiable, equivalent
+from qprenex.semantics import Valuation, equisatisfiable, equivalent, equivalid, valid
 from qprenex.transform import (
     PreconditionError,
     decompose_outermost,
@@ -367,20 +367,31 @@ class TestPrenex:
 
 
 def _same_as_layered(phi, start=None):
-    """The single pass and the layered reference agree on output and indices,
-    or both report the same capture."""
+    """The single pass and the layered reference agree on output and on where
+    they leave the generator."""
     def outcome(transform, *args):
         gen = FreshGen(start) if start is not None else FreshGen.for_formula(phi)
-        try:
-            return transform(*args, gen), gen.allocate()
-        except CaptureError as err:
-            return "capture", str(err)
+        return transform(*args, gen), gen.allocate()
 
     for kind in (Kind.EXISTS, Kind.FORALL):
         assert outcome(prenex_tracked, kind, phi) == outcome(
             layered_prenex_tracked, kind, phi
         )
     assert outcome(prenex_mc, phi) == outcome(layered_prenex_mc, phi)
+
+
+def _agrees_with_oracle(phi, start):
+    """All three modes, each with its own generator starting at ``start``,
+    keep their guarantee and bind none of the input's free names."""
+    for_sat = prenex(Kind.EXISTS, phi, FreshGen(start))
+    for_valid = prenex(Kind.FORALL, phi, FreshGen(start))
+    mc = prenex_mc(phi, FreshGen(start))
+    assert equisatisfiable(phi, for_sat)
+    assert equivalid(phi, for_valid)
+    assert equivalent(phi, mc)
+    assert free_vars(phi) <= free_vars(for_sat)
+    assert free_vars(phi) <= free_vars(for_valid)
+    assert free_vars(mc) == free_vars(phi)
 
 
 def _quantifier_chain(depth: int):
@@ -446,12 +457,34 @@ class TestSinglePass:
         _same_as_layered(parse_formula("@a4 & (forall x@p2 . x@p2 | (exists y . y))",
                                        allow_internal_names=True))
 
-    def test_capture_through_colliding_generator_is_reported(self):
+    def test_colliding_generator_keeps_bound_copy_apart(self):
+        # Started at 1, the generator would name y's positive copy y@p1, which
+        # the input already binds inside y's scope.
         phi = parse_formula(
             "forall y . exists y@p1 . y xor y@p1", allow_internal_names=True
         )
-        with pytest.raises(CaptureError):
-            prenex_tracked(Kind.EXISTS, phi, FreshGen(1))
+        _agrees_with_oracle(phi, 1)
+
+    def test_mc_abbreviation_does_not_take_a_free_name(self):
+        # With indices from 1, the abbreviation of ``exists x . x`` would be
+        # the input's free @a1, and substituting it back would replace both.
+        phi = parse_formula("@a1 xor (exists x . x)", allow_internal_names=True)
+        result = prenex_mc(phi, FreshGen(1))
+        assert equivalent(phi, result)
+        assert "@a1" not in bound_vars(result)
+
+    def test_valid_prefix_does_not_bind_a_free_name(self):
+        # With indices from 1, the fused prefix would bind the input's free
+        # @a1 and make a formula that is not valid look valid.
+        phi = parse_formula("~(@a1 xor (exists x . x))", allow_internal_names=True)
+        result = prenex(Kind.FORALL, phi, FreshGen(1))
+        assert equivalid(phi, result)
+        assert not valid(result)
+        assert "@a1" in free_vars(result)
+
+    def test_colliding_generators_keep_every_guarantee(self):
+        for phi, start in generated_name_inputs():
+            _agrees_with_oracle(phi, start)
 
     def test_matches_layered_on_generated_names(self):
         # Inputs that mention generated names, transformed with generators

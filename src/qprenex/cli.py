@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (``check`` printed PASS), 1 input/parse error,
 2 internal invariant violation (size bound exceeded or ``check`` FAIL) or
-fault (recursion or memory exhausted), 3 oracle refusal (the query exceeds
-the free-variable cap).
+fault (recursion or memory exhausted), 3 oracle refusal (the query has more
+free names than the cap, or its blocks bind more than ``W`` + cap names at
+one node).
 """
 
 from __future__ import annotations

@@ -258,12 +258,13 @@ def fold(
             put(leave(f, kids))
             if memo is not None and type(f) is App:
                 memo[id(f)] = values[-1]
-        elif memo is not None and id(f) in memo:
-            put(memo[id(f)])
         elif isinstance(f, App) and f.args:
-            push(f)
-            push(_LEAVE)
-            stack.extend(reversed(f.args))
+            if memo is not None and id(f) in memo:
+                put(memo[id(f)])
+            else:
+                push(f)
+                push(_LEAVE)
+                stack.extend(reversed(f.args))
         elif isinstance(f, Quant) and (enter is None or enter(f)):
             push(f)
             push(_LEAVE)

@@ -13,16 +13,18 @@ longer depends on its positions); the free names take the positions above,
 in sorted order with the first name most significant, so ascending rows are
 ``itertools.product`` order and the lowest set bit is the first witness.
 
-Tables never exceed 2^W bits.  When a query needs more than ``W`` positions,
-the leading free names are enumerated outside the tables, one chunk per
-assignment, each name a constant table except under a block that rebinds
-it.  When the blocks alone bind more than ``W`` names at one node, the query
-falls back to enumerating assignments one by one through :func:`_compile`,
-which also evaluates single valuations (:func:`evaluate`) and is the
-reference the table path is tested against.
+Tables never exceed 2^W bits.  Names that do not fit are split off,
+outermost first, and enumerated outside the tables as constant tables: the
+leading free names, one chunk per assignment (a block that rebinds one
+gives it a position again); and, where blocks bind more than ``W`` names at
+one node, every free name and the first names of each block whose body does
+not fit beside it, folding the body once per assignment until the block's
+value is settled (branching with early exit: Cadoli, Giovanardi & Schaerf,
+AAAI 1998).  :func:`evaluate` runs the same fold, every free name constant.
 
-Everything here is deliberately exponential in the number of free names: a
-configurable cap turns oversized queries into a :class:`RefusalError`,
+Everything here is deliberately exponential in the names split off: a
+configurable cap turns a query with more free names than the cap, or with
+more than ``W + cap`` names bound at one node, into a :class:`RefusalError`,
 raised before any formula is evaluated.
 """
 
@@ -55,16 +57,18 @@ W = 16
 
 
 class RefusalError(Exception):
-    """The query needs more free-variable enumeration than the cap allows.
+    """The query would split off more names than the cap allows: more than
+    ``cap`` free names, or more than ``cap`` bound names, where blocks bind
+    more than ``W + cap`` names at one node.
 
     Signals an oracle scale limit, never anything about the formula itself.
     """
 
-    def __init__(self, needed: int, cap: int):
+    def __init__(self, needed: int, cap: int, kind: str = "free"):
         self.needed = needed
         self.cap = cap
         super().__init__(
-            f"oracle refuses to enumerate {needed} free variables (cap {cap})"
+            f"oracle refuses to enumerate {needed} {kind} variables (cap {cap})"
         )
 
 
@@ -79,95 +83,37 @@ class Valuation:
         return self.assigned.get(name, self.default)
 
 
-def _compile(phi: Formula, table: OperatorTable, env: dict[str, int]):
-    """Compile a formula into a zero-argument closure reading ``env``.
-
-    The closure implements the defining recursion directly: truth-table
-    lookup for operators and depth-first enumeration of the 2^|X| local
-    assignments of every block, short-circuiting on the first witness or
-    counterexample.  Compiling once keeps repeated evaluation cheap.
-    """
-    if isinstance(phi, Var):
-        name = phi.name
-        return lambda: env[name]
-    if isinstance(phi, App):
-        op = phi.op
-        if op == "true":
-            return lambda: 1
-        if op == "false":
-            return lambda: 0
-        if op == "not":
-            a = _compile(phi.args[0], table, env)
-            return lambda: 0 if a() else 1
-        if op in ("and", "or", "imp", "iff", "xor"):
-            a = _compile(phi.args[0], table, env)
-            b = _compile(phi.args[1], table, env)
-            if op == "and":
-                return lambda: b() if a() else 0
-            if op == "or":
-                return lambda: 1 if a() else b()
-            if op == "imp":
-                return lambda: b() if a() else 1
-            if op == "iff":
-                return lambda: 1 if a() == b() else 0
-            return lambda: 1 if a() != b() else 0
-        parts = tuple(_compile(a, table, env) for a in phi.args)
-        bits = table.rows(op, len(parts))
-
-        def general() -> int:
-            index = 0
-            for part in parts:
-                index = index << 1 | part()
-            return bits[index]
-
-        return general
-    body = _compile(phi.body, table, env)
-    stop = 1 if phi.kind is Kind.EXISTS else 0
-    for x in reversed(phi.block):
-        body = _enumerate_one(x, body, env, stop)
-    return body
-
-
-def _enumerate_one(x: str, body, env: dict[str, int], stop: int):
-    """Closure trying x = 0 then x = 1 on ``body`` until it returns ``stop``.
-
-    A block is a chain of these, one per name, so no closure refers to
-    itself and a compiled formula is freed by reference counting alone.
-    """
-
-    def enum() -> int:
-        old = env.get(x)
-        env[x] = 0
-        result = body()
-        if result != stop:
-            env[x] = 1
-            result = body()
-        if old is None:
-            del env[x]
-        else:
-            env[x] = old
-        return result
-
-    return enum
-
-
 def evaluate(valuation: Valuation, phi: Formula, table: OperatorTable | None = None) -> int:
-    """Truth value of ``phi`` under ``valuation``; worst-case exponential."""
-    env = {name: valuation.value(name) for name in free_vars(phi)}
-    return _compile(phi, table or DEFAULT_TABLE, env)()
+    """Truth value of ``phi`` under ``valuation``: the query fold with every
+    free name a constant table, refused like a query at the default cap."""
+    width, widths = _bound_positions(phi, DEFAULT_ORACLE_CAP)
+    full, masks = _masks(width)
+    env = {x: full if valuation.value(x) else 0 for x in free_vars(phi)}
+    return 1 if _truth_table(phi, table or DEFAULT_TABLE, env, masks, full, widths) else 0
 
 
 def _first(phi: Formula, table: OperatorTable | None, cap: int) -> Valuation | None:
     """The first valuation of ``phi``'s sorted free names, in ``product``
-    order, that makes ``phi`` true; None if there is none."""
+    order, that makes ``phi`` true; None if there is none.  The ``lead``
+    free names that do not fit above the bound names are split off."""
     names = sorted(free_vars(phi))
     if len(names) > cap:
         raise RefusalError(len(names), cap)
+    width, widths = _bound_positions(phi, cap)
+    lead = max(0, width + len(names) - W)
+    inner = names[lead:]
+    full, masks = _masks(width + len(inner))
+    free_tables = {x: masks[width + i] for i, x in enumerate(reversed(inner))}
     table = table or DEFAULT_TABLE
-    width = _binding_width(phi)
-    if width > W:
-        return _first_by_enumeration(phi, names, table)
-    return _first_by_tables(phi, names, width, table)
+    for outer in product((0, 1), repeat=lead):
+        env = dict(free_tables)
+        env.update((x, full if bit else 0) for x, bit in zip(names, outer))
+        rows = _truth_table(phi, table, env, masks, full, widths)
+        if rows:
+            row = ((rows & -rows).bit_length() - 1) >> width
+            bits = outer + tuple(row >> i & 1 for i in reversed(range(len(inner))))
+            return Valuation(dict(zip(names, bits)))
+    return None
 
 
 def _binding_width(phi: Formula) -> int:
@@ -177,42 +123,24 @@ def _binding_width(phi: Formula) -> int:
     )
 
 
-def _first_by_enumeration(
-    phi: Formula, names: list[str], table: OperatorTable
-) -> Valuation | None:
-    """:func:`_first` by evaluating every valuation through :func:`_compile`."""
-    env: dict[str, int] = {}
-    root = _compile(phi, table, env)
-    for bits in product((0, 1), repeat=len(names)):
-        env.update(zip(names, bits))
-        if root():
-            return Valuation(dict(zip(names, bits)))
-    return None
+def _bound_positions(phi: Formula, cap: int) -> tuple[int, dict[int, int]]:
+    """The positions the bound names take, at most ``W``, and, when some
+    must be split off, the binding width of each block's body by ``id``."""
+    width = _binding_width(phi)
+    if width <= W:
+        return width, {}
+    if width - W > cap:
+        raise RefusalError(width - W, cap, "bound")
+    widths: dict[int, int] = {}
 
+    def leave(f: Formula, kids: list) -> int:
+        if type(f) is Quant:
+            widths[id(f)] = kids[0]
+            return len(f.block) + kids[0]
+        return max(kids, default=0)
 
-def _first_by_tables(
-    phi: Formula, names: list[str], width: int, table: OperatorTable
-) -> Valuation | None:
-    """:func:`_first` on truth tables of at most ``W`` positions.
-
-    Bound names take the ``width`` low positions, stacked by block nesting;
-    the trailing free names take the positions above them, first name most
-    significant.  The ``lead`` leading free names that do not fit are
-    enumerated outside, each a constant table, one chunk per assignment.
-    """
-    lead = max(0, width + len(names) - W)
-    inner = names[lead:]
-    full, masks = _masks(width + len(inner))
-    free_tables = {x: masks[width + i] for i, x in enumerate(reversed(inner))}
-    for outer in product((0, 1), repeat=lead):
-        env = dict(free_tables)
-        env.update((x, full if bit else 0) for x, bit in zip(names, outer))
-        rows = _truth_table(phi, table, env, masks, full)
-        if rows:
-            row = ((rows & -rows).bit_length() - 1) >> width
-            bits = outer + tuple(row >> i & 1 for i in reversed(range(len(inner))))
-            return Valuation(dict(zip(names, bits)))
-    return None
+    fold(phi, leave)
+    return W, widths
 
 
 @lru_cache(maxsize=W + 1)
@@ -233,25 +161,52 @@ def _truth_table(
     env: dict[str, int],
     masks: tuple[int, ...],
     full: int,
+    widths: dict[int, int],
+    depth: int = 0,
 ) -> int:
-    """Truth table of ``phi`` in one :func:`fold`.
+    """Truth table of ``phi`` in one :func:`fold`, above ``depth`` taken
+    positions.
 
     ``env`` maps each free name to its table.  A block maps its names to the
     masks of the next free low positions for its body, then quantifies those
     positions away and restores what the names meant outside.  The result no
-    longer depends on the positions, so sibling blocks reuse them.
+    longer depends on the positions, so sibling blocks reuse them.  A block
+    whose body does not fit beside it (``widths``) is a leaf of the fold,
+    and ``split`` computes its table.
     """
     # One frame per enclosing block: what its names meant outside it.
     frames: list[list[tuple[str, int | None]]] = []
-    depth = 0  # low positions taken by the enclosing blocks
 
     def enter(f: Quant) -> bool:
         nonlocal depth
+        if widths and f.block and depth + len(f.block) + widths[id(f)] > W:
+            return False
         frames.append([(x, env.get(x)) for x in f.block])
         for x in f.block:
             env[x] = masks[depth]
             depth += 1
         return True
+
+    def split(f: Quant) -> int:
+        # The first k names become constant tables, the rest take the next
+        # positions, and each assignment folds the body once, until the
+        # combined result is all ones (exists) or all zeros (forall).
+        k = min(len(f.block), depth + len(f.block) + widths[id(f)] - W)
+        head, rest = f.block[:k], f.block[k:]
+        inner = dict(env)
+        inner.update((x, masks[depth + i]) for i, x in enumerate(rest))
+        positions = range(depth, depth + len(rest))
+        exists = f.kind is Kind.EXISTS
+        settled = full if exists else 0
+        result = full ^ settled
+        for bits in product((0, full), repeat=k):
+            inner.update(zip(head, bits))
+            t = _truth_table(f.body, table, inner, masks, full, widths, positions.stop)
+            t = _quantify(t, f.kind, positions, masks)
+            result = result | t if exists else result & t
+            if result == settled:
+                break
+        return result
 
     def leave(f: Formula, kids: list) -> int:
         nonlocal depth
@@ -277,23 +232,31 @@ def _truth_table(
             if op == "false":
                 return 0
             return _apply_user(table, op, kids, full)
-        t = kids[0]
-        exists = f.kind is Kind.EXISTS
-        for x, old in reversed(frames.pop()):
-            depth -= 1
-            shift = 1 << depth
-            mask = masks[depth]
-            high = (t & mask) >> shift
-            low = t & ~mask
-            t = high | low if exists else high & low
-            t |= t << shift
+        if not kids:
+            return split(f)
+        depth -= len(f.block)
+        for x, old in frames.pop():
             if old is None:
                 del env[x]
             else:
                 env[x] = old
-        return t
+        return _quantify(kids[0], f.kind, range(depth, depth + len(f.block)), masks)
 
     return fold(phi, leave, enter)
+
+
+def _quantify(t: int, kind: Kind, positions: range, masks: tuple[int, ...]) -> int:
+    """``t`` with the given positions quantified away: for each, the two
+    halves that differ in it are combined with ``|`` (exists) or ``&``
+    (forall), and the result fills both halves."""
+    exists = kind is Kind.EXISTS
+    for p in reversed(positions):
+        shift = 1 << p
+        high = (t & masks[p]) >> shift
+        low = t & ~masks[p]
+        t = high | low if exists else high & low
+        t |= t << shift
+    return t
 
 
 def _apply_user(table: OperatorTable, op: str, args: list[int], full: int) -> int:

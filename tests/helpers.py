@@ -6,6 +6,7 @@ import functools
 import hashlib
 import random
 import re
+from itertools import product
 
 from qprenex.core import (
     DEFAULT_TABLE,
@@ -26,6 +27,7 @@ from qprenex.core import (
     nblock,
     nbvar,
     substitute,
+    xor,
 )
 from qprenex.cli import _transform
 from qprenex.export import (
@@ -219,6 +221,15 @@ def reference_binding_width(phi: Formula) -> int:
     return width
 
 
+def quantifier_chain(depth: int) -> Formula:
+    """``depth`` nested blocks of alternating kind over three shadowed names."""
+    phi: Formula = Var("z")
+    for i in range(depth):
+        kind = Kind.EXISTS if i % 2 else Kind.FORALL
+        phi = Quant(kind, (f"x{i % 3}",), xor(Var(f"x{(i + 1) % 3}"), phi))
+    return phi
+
+
 GENERATED_NAME_POOL = ("a", "b", "a@p1", "a@p2", "b@p1", "b@p3", "a@n1", "@a2")
 
 
@@ -232,6 +243,104 @@ def generated_name_inputs() -> tuple[tuple[Formula, int], ...]:
         phi = random_formula(rng, pool=GENERATED_NAME_POOL, max_size=rng.randint(3, 30))
         inputs.append((phi, rng.randint(1, 4)))
     return tuple(inputs)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the recursive closure compiler that the truth-table fold
+# replaced, enumerating one valuation at a time.  Every answer, witness and
+# value of ``qprenex.semantics`` must agree with it.
+
+def _compile(phi: Formula, table: OperatorTable, env: dict[str, int]):
+    """Compile a formula into a zero-argument closure reading ``env``.
+
+    The closure implements the defining recursion directly: truth-table
+    lookup for operators and depth-first enumeration of the 2^|X| local
+    assignments of every block, short-circuiting on the first witness or
+    counterexample.  Compiling once keeps repeated evaluation cheap.
+    """
+    if isinstance(phi, Var):
+        name = phi.name
+        return lambda: env[name]
+    if isinstance(phi, App):
+        op = phi.op
+        if op == "true":
+            return lambda: 1
+        if op == "false":
+            return lambda: 0
+        if op == "not":
+            a = _compile(phi.args[0], table, env)
+            return lambda: 0 if a() else 1
+        if op in ("and", "or", "imp", "iff", "xor"):
+            a = _compile(phi.args[0], table, env)
+            b = _compile(phi.args[1], table, env)
+            if op == "and":
+                return lambda: b() if a() else 0
+            if op == "or":
+                return lambda: 1 if a() else b()
+            if op == "imp":
+                return lambda: b() if a() else 1
+            if op == "iff":
+                return lambda: 1 if a() == b() else 0
+            return lambda: 1 if a() != b() else 0
+        parts = tuple(_compile(a, table, env) for a in phi.args)
+        bits = table.rows(op, len(parts))
+
+        def general() -> int:
+            index = 0
+            for part in parts:
+                index = index << 1 | part()
+            return bits[index]
+
+        return general
+    body = _compile(phi.body, table, env)
+    stop = 1 if phi.kind is Kind.EXISTS else 0
+    for x in reversed(phi.block):
+        body = _enumerate_one(x, body, env, stop)
+    return body
+
+
+def _enumerate_one(x: str, body, env: dict[str, int], stop: int):
+    """Closure trying x = 0 then x = 1 on ``body`` until it returns ``stop``.
+
+    A block is a chain of these, one per name, so no closure refers to
+    itself and a compiled formula is freed by reference counting alone.
+    """
+
+    def enum() -> int:
+        old = env.get(x)
+        env[x] = 0
+        result = body()
+        if result != stop:
+            env[x] = 1
+            result = body()
+        if old is None:
+            del env[x]
+        else:
+            env[x] = old
+        return result
+
+    return enum
+
+
+def reference_evaluate(
+    valuation: Valuation, phi: Formula, table: OperatorTable | None = None
+) -> int:
+    """Truth value of ``phi`` under ``valuation`` through :func:`_compile`."""
+    env = {name: valuation.value(name) for name in free_vars(phi)}
+    return _compile(phi, table or DEFAULT_TABLE, env)()
+
+
+def reference_first(phi: Formula, table: OperatorTable | None = None) -> Valuation | None:
+    """The first valuation of ``phi``'s sorted free names, in ``product``
+    order, that makes ``phi`` true, by evaluating each through :func:`_compile`."""
+    names = sorted(free_vars(phi))
+    env: dict[str, int] = {}
+    root = _compile(phi, table or DEFAULT_TABLE, env)
+    for bits in product((0, 1), repeat=len(names)):
+        env.update(zip(names, bits))
+        if root():
+            return Valuation(dict(zip(names, bits)))
+    return None
 
 
 def evaluate_via_mc(

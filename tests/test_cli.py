@@ -2,7 +2,9 @@ import pytest
 
 from qprenex import cli
 from qprenex.core import free_vars, qdepth
-from qprenex.parser import parse, parse_formula
+from qprenex.parser import format_formula, parse, parse_formula
+
+from helpers import quantifier_chain
 
 
 def run(args):
@@ -190,6 +192,16 @@ class TestCheckCommand:
         src = write(tmp_path, "in.fqbf", wide)
         assert run(["check", src]) == 3
         assert "refuses" in capsys.readouterr().err
+
+    def test_deep_chain_is_refused_with_exit_3(self, tmp_path, capsys):
+        # 2,000 nested blocks: 1,984 bound names would be split off.
+        src = write(tmp_path, "in.fqbf", format_formula(quantifier_chain(2000)))
+        assert run(["check", src]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: oracle refuses to enumerate 1984 bound variables (cap 24)\n"
+        )
 
     def test_oracle_cap_flag(self, tmp_path):
         src = write(tmp_path, "in.fqbf", "a | b | c")

@@ -527,8 +527,8 @@ def test_pipeline_leaves_no_cyclic_garbage():
     rng = random.Random(31)
     sources = [format_problem(random_problem(rng, max_size=120)) for _ in range(20)]
     sources.append(format_problem(Problem((), nested_iff_family(6), OperatorTable())))
-    # The oracle calls of `check` on truth tables, and on the enumeration
-    # that a block of more than W names falls back to.
+    # The oracle calls of `check` on truth tables, also where a block of
+    # more than W names splits off its first names.
     small = [oracle_problem(rng, limit=10) for _ in range(10)]
     wide = parse(
         "exists " + " ".join(f"x{i:02}" for i in range(W + 1))

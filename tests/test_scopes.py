@@ -20,13 +20,14 @@ from qprenex.transform import PreconditionError, _layer_counts, extract_quantifi
 from helpers import (
     criterion_4_corpus,
     generated_name_inputs,
+    quantifier_chain,
     reference_binding_width,
     reference_layer_counts,
     reference_not_in_quantifier_scope,
     reference_qdepth,
 )
 from test_golden import MODES, golden_corpora
-from test_transform import _and_chain, _imp_chain, _quantifier_chain
+from test_transform import _and_chain, _imp_chain
 
 
 def _scope_refused(psi, name):
@@ -102,7 +103,7 @@ class TestScopes:
         [
             (_imp_chain, ("p0", "p99999", "x")),
             (_and_chain, ("c0", "c1", "c99999", "y")),
-            (_quantifier_chain, ("x0", "x2", "z")),
+            (quantifier_chain, ("x0", "x2", "z")),
         ],
         ids=["imp_chain_100k", "and_chain_100k", "quantifier_chain_100k"],
     )

@@ -46,6 +46,9 @@ from helpers import (
     flat_encoding_pair,
     metrics_example,
     oracle_problem,
+    quantifier_chain,
+    reference_evaluate,
+    reference_first,
     small_formula,
     xor_block_input,
     xor_block_rewrite,
@@ -127,6 +130,38 @@ class TestRefusal:
         with pytest.raises(RefusalError):
             valid(phi, cap=1)
         assert not valid(phi, cap=2)
+
+    def test_bound_names_past_w_plus_cap(self):
+        # A chain of single-name blocks binds its length at the innermost
+        # node; W names fit into the tables and up to the cap are split off.
+        # The innermost name decides, so each split block settles on its
+        # first assignment.
+        width = semantics.W + DEFAULT_ORACLE_CAP
+        names = [f"x{i:02}" for i in range(width + 1)]
+        kinds = [Kind.EXISTS] * len(names)
+        fits = _chain(kinds[:width], names[:width], disj(Var("x39"), Var("a")))
+        assert satisfying_assignment(fits) == Valuation({"a": 0})
+        assert evaluate(Valuation(), fits) == 1
+        wider = _chain(kinds, names, disj(Var("x40"), Var("a")))
+        for query in (
+            lambda: satisfiable(wider),
+            lambda: evaluate(Valuation(), wider),
+        ):
+            with pytest.raises(RefusalError) as err:
+                query()
+            assert err.value.needed == DEFAULT_ORACLE_CAP + 1
+            assert str(err.value) == (
+                "oracle refuses to enumerate 25 bound variables (cap 24)"
+            )
+        with pytest.raises(RefusalError):
+            satisfiable(fits, cap=DEFAULT_ORACLE_CAP - 1)
+
+    def test_deep_chain_is_refused_not_recursed(self):
+        # 2,000 nested blocks bind 2,000 names at the innermost node, far
+        # past W + cap and deeper than the default recursion limit.
+        with pytest.raises(RefusalError) as err:
+            evaluate(Valuation(), quantifier_chain(2000))
+        assert err.value.needed == 2000 - semantics.W
 
 
 class TestSubstitutionFacts:
@@ -238,38 +273,35 @@ class TestEvaluateViaMc:
             )
 
 
-def _reference(f, table=None):
-    """The ``_compile`` enumeration that the truth-table path replaces."""
-    names = sorted(free_vars(f))
-    return semantics._first_by_enumeration(f, names, table or OperatorTable())
-
-
 def _assert_agrees(phi, psi, table=None):
     """Table oracle and reference agree on every query, witnesses included."""
     for f in (phi, psi):
-        assert satisfying_assignment(f, table) == _reference(f, table), f
-        assert valid(f, table) == (_reference(neg(f), table) is None), f
-    assert find_disagreement(phi, psi, table) == _reference(
+        assert satisfying_assignment(f, table) == reference_first(f, table), f
+        assert valid(f, table) == (reference_first(neg(f), table) is None), f
+    assert find_disagreement(phi, psi, table) == reference_first(
         xor(phi, psi), table
     ), (phi, psi)
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count how often each oracle path runs during a test."""
-    counts = {"tables": 0, "enumeration": 0}
+    """Count the table folds during a test, and among them the nested folds
+    of a split block's body: those that start while another one runs."""
+    counts = {"tables": 0, "splits": 0}
+    running = 0
+    inner = semantics._truth_table
 
-    def spy(name, key):
-        inner = getattr(semantics, name)
-
-        def wrapper(*args):
-            counts[key] += 1
+    def wrapper(*args):
+        nonlocal running
+        counts["tables"] += 1
+        counts["splits"] += running > 0
+        running += 1
+        try:
             return inner(*args)
+        finally:
+            running -= 1
 
-        monkeypatch.setattr(semantics, name, wrapper)
-
-    spy("_truth_table", "tables")
-    spy("_first_by_enumeration", "enumeration")
+    monkeypatch.setattr(semantics, "_truth_table", wrapper)
     return counts
 
 
@@ -291,13 +323,15 @@ class TestTableOracle:
             mc = prenex_mc(phi, FreshGen.for_formula(phi))
             # The queries of qprenex check in its three modes.
             for f in (phi, sat):
-                assert satisfying_assignment(f, table) == _reference(f, table)
+                assert satisfying_assignment(f, table) == reference_first(f, table)
             for f in (phi, val):
-                assert valid(f, table) == (_reference(neg(f), table) is None)
-            assert find_disagreement(phi, mc, table) == _reference(xor(phi, mc), table)
-        # The reference runs as many times as the table path; no query of
-        # this corpus binds more than W names at once.
-        assert calls["enumeration"] == 2_000 * 5
+                assert valid(f, table) == (reference_first(neg(f), table) is None)
+            assert find_disagreement(phi, mc, table) == reference_first(
+                xor(phi, mc), table
+            )
+        # No query of this corpus binds more than W names at once, so none
+        # splits a block.
+        assert calls["splits"] == 0
         assert calls["tables"] >= 2_000 * 5
 
     def test_chunks_above_w_positions(self, calls):
@@ -336,7 +370,7 @@ class TestTableOracle:
             if free_vars(phi) & bound_vars(phi):
                 _assert_agrees(phi, psi)
 
-    def test_falls_back_above_w_bound_names(self, calls, monkeypatch):
+    def test_splits_above_w_bound_names(self, calls, monkeypatch):
         rng = random.Random(9)
         bound = [f"x{i:02}" for i in range(semantics.W + 1)]
         cases = []
@@ -353,10 +387,11 @@ class TestTableOracle:
                     find_disagreement(psi, other),
                 )
             )
-        assert calls["tables"] == 0
-        assert calls["enumeration"] == 9
-        # With room for every bound name the table path takes the same
-        # queries and gives the same answers.
+        # Every query's fold reaches the 17-name block, which splits off x00.
+        assert calls["splits"] >= 9
+        splits, tables = calls["splits"], calls["tables"]
+        # With room for every bound name the same queries give the same
+        # answers, one fold each and no split.
         monkeypatch.setattr(semantics, "W", semantics.W + 4)
         for (phi, psi, other), answers in zip(cases, expected):
             assert answers == (
@@ -364,8 +399,8 @@ class TestTableOracle:
                 valid(psi),
                 find_disagreement(psi, other),
             )
-        assert calls["tables"] == 9
-        assert calls["enumeration"] == 9
+        assert calls["tables"] == tables + 9
+        assert calls["splits"] == splits
 
     def test_user_operators_of_arity_0_and_3(self):
         table = OperatorTable()
@@ -399,7 +434,7 @@ class TestTableOracle:
         def no_work(*args):
             raise AssertionError("the oracle started work past the cap")
 
-        for name in ("_binding_width", "_first_by_tables", "_first_by_enumeration", "_compile"):
+        for name in ("_binding_width", "_bound_positions", "_truth_table"):
             monkeypatch.setattr(semantics, name, no_work)
         wider = conj(wide, Var("w"))
         for query in (
@@ -410,3 +445,69 @@ class TestTableOracle:
         ):
             with pytest.raises(RefusalError):
                 query()
+
+
+def _nested_blocks(rng, bound, matrix):
+    """``bound`` cut into up to five nested blocks of random kinds."""
+    cuts = sorted(rng.sample(range(1, len(bound)), rng.randint(0, 4)))
+    for lo, hi in reversed(list(zip([0] + cuts, cuts + [len(bound)]))):
+        matrix = Quant(rng.choice((Kind.EXISTS, Kind.FORALL)), tuple(bound[lo:hi]), matrix)
+    return matrix
+
+
+def _assert_agrees_everywhere(phi, table=None):
+    """:func:`_assert_agrees` on ``phi`` against its free part, and
+    :func:`evaluate` against the reference on every valuation."""
+    names = sorted(free_vars(phi))
+    _assert_agrees(phi, big_conj(Var(n) for n in names), table)
+    for bits in product((0, 1), repeat=len(names)):
+        v = Valuation(dict(zip(names, bits)))
+        assert evaluate(v, phi, table) == reference_evaluate(v, phi, table), (phi, v)
+
+
+class TestSplitOracle:
+    """Blocks binding more than W names at one node split off their first
+    names; every answer, witness and value agrees with the reference."""
+
+    def test_nested_blocks_of_mixed_kinds(self, calls):
+        rng = random.Random(13)
+        for _ in range(25):
+            bound = [f"x{i:02}" for i in range(rng.randint(17, 22))]
+            matrix = random_formula(rng, pool=bound + ["a", "b"], max_depth=0, max_size=30)
+            _assert_agrees_everywhere(_nested_blocks(rng, bound, matrix))
+        assert calls["splits"] > 0
+
+    def test_free_names_rebound_inside_a_split_block(self, calls):
+        rng = random.Random(17)
+        bound = [f"x{i:02}" for i in range(16)]
+        for _ in range(10):
+            inner = random_formula(rng, pool=bound + ["a", "b"], max_depth=0, max_size=24)
+            # a and b are free outside; the split block rebinds a, and b
+            # in a nested block whose names all get positions.
+            wide = Quant(rng.choice((Kind.EXISTS, Kind.FORALL)), ("a", *bound),
+                         xor(inner, exists(["b"], conj(Var("b"), Var("x00")))))
+            _assert_agrees_everywhere(iff(disj(Var("a"), Var("b")), wide))
+        assert calls["splits"] > 0
+
+    def test_user_operator_under_a_split_block(self, calls):
+        table = OperatorTable()
+        table.add("maj", 3, (0, 0, 0, 1, 0, 1, 1, 1))
+        ops = (("not", 1, 1.0), ("and", 2, 1.0), ("xor", 2, 1.0), ("maj", 3, 1.0))
+        rng = random.Random(19)
+        for _ in range(10):
+            bound = [f"x{i:02}" for i in range(rng.randint(17, 19))]
+            matrix = random_formula(
+                rng, pool=bound + ["a"], max_depth=0, max_size=24, ops=ops
+            )
+            _assert_agrees_everywhere(_nested_blocks(rng, bound, matrix), table)
+        assert calls["splits"] > 0
+
+    def test_empty_block_above_a_wide_one(self, calls):
+        rng = random.Random(23)
+        bound = [f"x{i:02}" for i in range(18)]
+        for _ in range(6):
+            matrix = random_formula(rng, pool=bound + ["a", "b"], max_depth=0, max_size=24)
+            wide = _nested_blocks(rng, bound, matrix)
+            _assert_agrees_everywhere(Quant(Kind.FORALL, (), wide))
+            _assert_agrees_everywhere(Quant(Kind.EXISTS, (), neg(Quant(Kind.EXISTS, (), wide))))
+        assert calls["splits"] > 0

@@ -46,6 +46,7 @@ from helpers import (
     layered_prenex_mc,
     layered_prenex_tracked,
     oracle_problem,
+    quantifier_chain,
     small_formula,
     worked_example,
     xor_block_input,
@@ -394,15 +395,6 @@ def _agrees_with_oracle(phi, start):
     assert free_vars(mc) == free_vars(phi)
 
 
-def _quantifier_chain(depth: int):
-    """``depth`` nested blocks of alternating kind over three shadowed names."""
-    phi = Var("z")
-    for i in range(depth):
-        kind = Kind.EXISTS if i % 2 else Kind.FORALL
-        phi = Quant(kind, (f"x{i % 3}",), xor(Var(f"x{(i + 1) % 3}"), phi))
-    return phi
-
-
 def _imp_chain(depth: int):
     """``p0 -> p1 -> ... -> (exists x . x)``, right-nested ``depth`` deep."""
     phi = Quant(Kind.EXISTS, ("x",), Var("x"))
@@ -451,7 +443,7 @@ class TestSinglePass:
             _same_as_layered(nested_iff_family(k))
 
     def test_matches_layered_with_shadowing_and_explicit_start(self):
-        _same_as_layered(_quantifier_chain(12), start=7)
+        _same_as_layered(quantifier_chain(12), start=7)
         _same_as_layered(Quant(Kind.EXISTS, (), Var("p")))
         _same_as_layered(worked_example(), start=1)
         _same_as_layered(parse_formula("@a4 & (forall x@p2 . x@p2 | (exists y . y))",
@@ -497,8 +489,8 @@ class TestSinglePass:
         "build, size, value",
         [
             # value: under all names true; None where the quantified part
-            # itself is too deep for the reference evaluator, which recurses.
-            (_quantifier_chain, 10_000, None),
+            # binds more names at one node than the oracle takes.
+            (quantifier_chain, 10_000, None),
             (nested_iff_family, 10_000, None),
             (_imp_chain, 100_000, 1),
             (_and_chain, 100_000, 1),

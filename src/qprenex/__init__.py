@@ -20,7 +20,6 @@ from .core import (
     Quant,
     TRUE,
     Var,
-    bound_vars,
     free_vars,
     is_boolean,
     is_prenex,
@@ -52,21 +51,15 @@ from .semantics import (
     valid,
 )
 from .transform import (
-    Decomposition,
     SizeBudgetExceeded,
-    StepResult,
-    decompose_outermost,
-    extract_quantifier,
     naive_prenex,
     prenex,
     prenex_mc,
-    step_transform,
 )
 
 __all__ = [
     "App",
     "CaptureError",
-    "Decomposition",
     "FALSE",
     "Formula",
     "FreshGen",
@@ -79,18 +72,14 @@ __all__ = [
     "Quant",
     "RefusalError",
     "SizeBudgetExceeded",
-    "StepResult",
     "TRUE",
     "UnloweredOperator",
     "Valuation",
     "Var",
-    "bound_vars",
-    "decompose_outermost",
     "equisatisfiable",
     "equivalent",
     "equivalid",
     "evaluate",
-    "extract_quantifier",
     "format_formula",
     "format_problem",
     "free_vars",
@@ -107,7 +96,6 @@ __all__ = [
     "prenex_mc",
     "qdepth",
     "satisfiable",
-    "step_transform",
     "substitute",
     "to_prenex_text",
     "to_qcir",

@@ -377,11 +377,6 @@ def free_vars(phi: Formula) -> frozenset[str]:
     return frozenset(free)
 
 
-def bound_vars(phi: Formula) -> frozenset[str]:
-    """Variables mentioned in some quantifier block (mentions count as bound)."""
-    return frozenset(x for f in nodes(phi) if type(f) is Quant for x in f.block)
-
-
 def is_boolean(phi: Formula) -> bool:
     """True iff the formula contains no quantifier."""
     return not any(type(f) is Quant for f in nodes(phi))
@@ -449,15 +444,6 @@ def substitute(phi: Formula, sigma: Substitution) -> Formula:
         return Quant(f.kind, f.block, kids[0])
 
     return fold(phi, leave, enter)
-
-
-def is_free_for(phi: Formula, key: str, replacement: Formula) -> bool:
-    """True iff substituting ``replacement`` for ``key`` in ``phi`` captures nothing."""
-    try:
-        substitute(phi, {key: replacement})
-    except CaptureError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

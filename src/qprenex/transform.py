@@ -1,19 +1,18 @@
 """Quantifier prenexing with linear size growth and preserved quantifier depth.
 
-The construction is defined on the outermost layer of quantifiers at a time:
+The paper defines the construction one layer of quantifiers at a time: every
+maximal quantified subformula is abbreviated by a fresh variable, defined by
+a biconditional against its body (quantified variables replaced by fresh
+positive copies), and a guard per binding ties the positive copies to fresh
+negative ones so the dropped quantifiers can be re-bound outside.
 
-* :func:`decompose_outermost` splits a formula into a boolean skeleton over
-  fresh abbreviation variables plus one binding per maximal quantified
-  subformula occurrence.
-* :func:`step_transform` rewrites one layer: every abbreviation is defined
-  by a biconditional against its body (quantified variables replaced by
-  fresh positive copies), and a guard per binding ties positive to negative
-  copies so the dropped quantifiers can be re-bound outside.
-* :func:`prenex` produces exactly what iterating the step would, fusing each
-  layer's introduced variables into one alternating prefix, but writes every
-  layer in one linear-time pass over the input; :func:`prenex_mc` instead
-  rebuilds the boolean skeleton over independently prenexed subformulas,
-  which preserves logical equivalence rather than just equisatisfiability.
+* :func:`prenex` produces exactly what iterating that step layer by layer
+  would, fusing each layer's introduced variables into one alternating
+  prefix, but writes every layer in one linear-time fold over the input.
+* :func:`prenex_mc` is one fold over the boolean skeleton that replaces each
+  maximal quantified subformula by its own :func:`prenex_tracked` result,
+  re-bound under its original kind, which preserves logical equivalence
+  rather than just equisatisfiability.
 
 :func:`naive_prenex` is the classic preprocessing baseline kept as a foil
 and secondary oracle: quantifiers move directly across monotone operators,
@@ -22,8 +21,6 @@ up exponentially once such operators nest.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import (
     App,
@@ -47,9 +44,9 @@ from .core import (
     neg,
     neg_copy,
     pos_copy,
+    prefix_blocks,
     scopes,
     substitute,
-    vars_of,
 )
 
 DEFAULT_SIZE_BUDGET = 1_000_000
@@ -62,160 +59,6 @@ class SizeBudgetExceeded(Exception):
         self.size = size
         self.budget = budget
         super().__init__(f"rewritten formula reached length {size} (budget {budget})")
-
-
-class PreconditionError(ValueError):
-    """A caller-supplied argument violates a stated precondition."""
-
-
-@dataclass(frozen=True)
-class Binding:
-    """One abbreviated quantified subformula occurrence."""
-
-    name: str
-    kind: Kind
-    block: tuple[str, ...]
-    body: Formula
-    index: int
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Boolean skeleton plus the bindings abbreviating its quantified parts."""
-
-    skeleton: Formula
-    bindings: tuple[Binding, ...]
-
-
-@dataclass(frozen=True)
-class StepResult:
-    """One-layer transform output with its bookkeeping sets.
-
-    ``neg`` holds the fresh negative copies, ``pos`` the positive copies plus
-    the abbreviation variables.
-    """
-
-    psi: Formula
-    neg: frozenset[str]
-    pos: frozenset[str]
-
-
-def decompose_outermost(phi: Formula, gen: FreshGen | None = None) -> Decomposition:
-    """Abbreviate every maximal quantified subformula occurrence.
-
-    The traversal is depth-first left-to-right; identical occurrences get
-    distinct abbreviation variables (tree semantics, no sharing).  A boolean
-    input yields itself with no bindings.
-    """
-    gen = (gen or FreshGen()).advance_past(phi)
-    bindings: list[Binding] = []
-
-    def leave(f: Formula, kids: list) -> Formula:
-        if isinstance(f, App):
-            return App(f.op, tuple(kids))
-        if isinstance(f, Quant):
-            index = gen.allocate()
-            name = abbrev_name(index)
-            bindings.append(Binding(name, f.kind, f.block, f.body, index))
-            return Var(name)
-        return f
-
-    skeleton = fold(phi, leave, lambda q: False)  # quantifiers are leaves
-    return Decomposition(skeleton, tuple(bindings))
-
-
-def extract_quantifier(
-    psi: Formula,
-    p: str,
-    kind: Kind,
-    block: tuple[str, ...],
-    phi: Formula,
-    outer: tuple[str, ...],
-    gen: FreshGen | None = None,
-) -> Formula:
-    """Move one quantifier outwards, fusing it with an existing outer block.
-
-    Given that ``p`` abbreviates ``kind block . phi`` inside ``psi``, builds a
-    formula equivalent to ``exists outer . psi[p := kind block . phi]``: the
-    negative copies are bound universally outside, and ``outer``, the positive
-    copies, and ``p`` itself existentially inside, with one guard equation per
-    quantified variable.
-    """
-    gen = (gen or FreshGen()).advance_past(conj(psi, phi))
-    if p not in vars_of(psi):
-        raise PreconditionError(f"'{p}' does not occur in the host formula")
-    if p in free_vars(phi):
-        raise PreconditionError(f"'{p}' occurs free in the abbreviated body")
-    if any(
-        p in f.block if type(f) is Quant else type(f) is Var and f.name == p and blocks
-        for f, blocks, _ in scopes(psi)
-    ):
-        raise PreconditionError(
-            f"'{p}' occurs inside a quantifier scope of the host formula"
-        )
-    allowed = vars_of(psi) - vars_of(phi)
-    stray = set(outer) - allowed
-    if stray:
-        raise PreconditionError(
-            f"outer block variables {sorted(stray)} must occur in the host "
-            "formula and not in the abbreviated body"
-        )
-
-    index = gen.allocate()
-    positive = {x: pos_copy(x, index) for x in block}
-    negative = {x: neg_copy(x, index) for x in block}
-    sigma = {x: Var(positive[x]) for x in block}
-    parts = [psi, iff(Var(p), substitute(phi, sigma))]
-    head_of = (lambda q: neg(q)) if kind is Kind.EXISTS else (lambda q: q)
-    for x in block:
-        parts.append(implies(head_of(Var(p)), iff(Var(positive[x]), Var(negative[x]))))
-    inner = Quant(
-        Kind.EXISTS, tuple(outer) + tuple(positive.values()) + (p,), big_conj(parts)
-    )
-    return Quant(Kind.FORALL, tuple(negative.values()), inner)
-
-
-def step_transform(kind: Kind, phi: Formula, gen: FreshGen | None = None) -> StepResult:
-    """Rewrite one quantifier layer away, for re-binding under ``kind``.
-
-    Every abbreviation gets a defining biconditional (with its block replaced
-    by fresh positive copies) and, for non-empty blocks, exactly one guard:
-    for an existential binding the copies must agree when the abbreviation is
-    false, for a universal one when it is true.  The conjunction of these is
-    conjoined with the skeleton when ``kind`` is FORALL and made to imply it
-    when ``kind`` is EXISTS.
-    """
-    gen = gen or FreshGen()  # decompose_outermost advances it past phi
-    decomposition = decompose_outermost(phi, gen)
-    if not decomposition.bindings:
-        return StepResult(phi, frozenset(), frozenset())
-
-    parts: list[Formula] = []
-    negatives: set[str] = set()
-    positives: set[str] = set()
-    for b in decomposition.bindings:
-        positives.add(b.name)
-        sigma = {x: Var(pos_copy(x, b.index)) for x in b.block}
-        parts.append(iff(Var(b.name), substitute(b.body, sigma)))
-        if b.block:
-            equalities = big_conj(
-                [
-                    iff(Var(pos_copy(x, b.index)), Var(neg_copy(x, b.index)))
-                    for x in b.block
-                ]
-            )
-            head = neg(Var(b.name)) if b.kind is Kind.EXISTS else Var(b.name)
-            parts.append(implies(head, equalities))
-        for x in b.block:
-            positives.add(pos_copy(x, b.index))
-            negatives.add(neg_copy(x, b.index))
-
-    core = big_conj(parts)
-    if kind is Kind.FORALL:
-        psi = conj(core, decomposition.skeleton)
-    else:
-        psi = implies(core, decomposition.skeleton)
-    return StepResult(psi, frozenset(negatives), frozenset(positives))
 
 
 def _layer_counts(phi: Formula) -> list[int]:
@@ -234,7 +77,7 @@ def prenex_tracked(
 ) -> tuple[Formula, frozenset[str]]:
     """Like :func:`prenex`, also returning the first layer's negative copies.
 
-    One pass does the work of iterating :func:`step_transform` per layer.
+    One pass does the work of the paper's one-layer step iterated per layer.
     Indices are handed out layer by layer, left to right within a layer, as
     the layered iteration would.  A single :func:`fold` then replaces every
     quantifier node by its abbreviation variable, renaming bound occurrences
@@ -310,9 +153,10 @@ def prenex(kind: Kind, phi: Formula, gen: FreshGen | None = None) -> Formula:
     """Full prenexing for satisfiability (EXISTS) or validity (FORALL) use.
 
     Boolean formulas pass through unchanged.  Otherwise every quantifier
-    layer is rewritten as by :func:`step_transform`, alternating from ``kind``
-    to its dual; each layer's positive copies fuse with the next layer's
-    negative copies into a single block, so quantifier depth is preserved.
+    layer is rewritten by the paper's one-layer step, alternating from
+    ``kind`` to its dual; each layer's positive copies fuse with the next
+    layer's negative copies into a single block, so quantifier depth is
+    preserved.
     """
     return prenex_tracked(kind, phi, gen)[0]
 
@@ -320,20 +164,26 @@ def prenex(kind: Kind, phi: Formula, gen: FreshGen | None = None) -> Formula:
 def prenex_mc(phi: Formula, gen: FreshGen | None = None) -> Formula:
     """Equivalence-preserving rewrite into a boolean combination of prenex parts.
 
-    Each maximal quantified subformula is prenexed on its own and re-bound
-    under its original kind, with the inner negative copies fused into the
-    original block; the boolean skeleton survives as-is, so free variables
-    are untouched.
+    One fold over the boolean skeleton replaces each maximal quantified
+    subformula occurrence by its :func:`prenex_tracked` result, re-bound
+    under its original kind with the inner negative copies fused into the
+    original block; the skeleton survives as-is, so free variables are
+    untouched.
     """
-    gen = gen or FreshGen()  # decompose_outermost advances it past phi
-    decomposition = decompose_outermost(phi, gen)
-    if not decomposition.bindings:
+    gen = (gen or FreshGen()).advance_past(phi)
+    counts = _layer_counts(phi)
+    if not counts:
         return phi
-    replacements: dict[str, Formula] = {}
-    for b in decomposition.bindings:
-        inner, negatives = prenex_tracked(b.kind, b.body, gen)
-        replacements[b.name] = Quant(b.kind, b.block + tuple(negatives), inner)
-    return substitute(decomposition.skeleton, replacements)
+    # Skip the indices the layered construction's abbreviations take, to match it.
+    gen.reserve(counts[0])
+
+    def leave(f: Formula, kids: list) -> Formula:
+        if isinstance(f, Quant):
+            inner, negatives = prenex_tracked(f.kind, f.body, gen)
+            return Quant(f.kind, f.block + tuple(negatives), inner)
+        return App(f.op, tuple(kids)) if kids else f
+
+    return fold(phi, leave, lambda q: False)  # quantifiers are leaves
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +194,10 @@ _MONOTONE = ("and", "or", "not", "imp")
 
 def _dual_prenex(phi: Formula) -> Formula:
     """Negation of a prenex formula, kept prenex: dual prefix, negated matrix."""
-    blocks: list[tuple[Kind, tuple[str, ...]]] = []
-    while isinstance(phi, Quant):
-        blocks.append((phi.kind.dual, phi.block))
-        phi = phi.body
-    result = neg(phi)
+    blocks, matrix = prefix_blocks(phi)
+    result = neg(matrix)
     for kind, names in reversed(blocks):
-        result = Quant(kind, names, result)
+        result = Quant(kind.dual, names, result)
     return result
 
 

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import random
 import re
+from dataclasses import dataclass
 from itertools import product
 
 from qprenex.core import (
@@ -14,19 +15,31 @@ from qprenex.core import (
     RESERVED_CHAR,
     TRUE,
     App,
+    CaptureError,
     Formula,
     FreshGen,
     Kind,
     OperatorTable,
     Quant,
     Var,
+    abbrev_name,
+    big_conj,
+    conj,
     fold,
     fold_app,
     free_vars,
+    iff,
+    implies,
     is_boolean,
     nblock,
     nbvar,
+    neg,
+    neg_copy,
+    nodes,
+    pos_copy,
+    scopes,
     substitute,
+    vars_of,
     xor,
 )
 from qprenex.cli import _transform
@@ -48,11 +61,7 @@ from qprenex.parser import (
     parse_formula,
 )
 from qprenex.semantics import Valuation, evaluate
-from qprenex.transform import (
-    decompose_outermost,
-    prenex_mc,
-    step_transform,
-)
+from qprenex.transform import prenex_mc
 
 
 def metrics_example() -> Formula:
@@ -120,6 +129,180 @@ def small_formula(rng: random.Random, **kwargs) -> Formula:
     defaults = dict(pool=("a", "b", "c"), max_depth=2, max_size=12)
     defaults.update(kwargs)
     return random_formula(rng, **defaults)
+
+
+# ---------------------------------------------------------------------------
+# Reference constructions: the paper's one-layer and one-quantifier steps and
+# the set helpers that only tests call.  ``prenex_tracked`` and ``prenex_mc``
+# must reproduce what iterating them gives, and the acceptance criteria check
+# the paper's lemmas on them.
+
+def bound_vars(phi: Formula) -> frozenset[str]:
+    """Variables mentioned in some quantifier block (mentions count as bound)."""
+    return frozenset(x for f in nodes(phi) if type(f) is Quant for x in f.block)
+
+
+def is_free_for(phi: Formula, key: str, replacement: Formula) -> bool:
+    """True iff substituting ``replacement`` for ``key`` in ``phi`` captures nothing."""
+    try:
+        substitute(phi, {key: replacement})
+    except CaptureError:
+        return False
+    return True
+
+
+class PreconditionError(ValueError):
+    """A caller-supplied argument violates a stated precondition."""
+
+
+@dataclass(frozen=True)
+class Binding:
+    """One abbreviated quantified subformula occurrence."""
+
+    name: str
+    kind: Kind
+    block: tuple[str, ...]
+    body: Formula
+    index: int
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Boolean skeleton plus the bindings abbreviating its quantified parts."""
+
+    skeleton: Formula
+    bindings: tuple[Binding, ...]
+
+
+@dataclass(frozen=True)
+class StepResult:
+    """One-layer transform output with its bookkeeping sets.
+
+    ``neg`` holds the fresh negative copies, ``pos`` the positive copies plus
+    the abbreviation variables.
+    """
+
+    psi: Formula
+    neg: frozenset[str]
+    pos: frozenset[str]
+
+
+def decompose_outermost(phi: Formula, gen: FreshGen | None = None) -> Decomposition:
+    """Abbreviate every maximal quantified subformula occurrence.
+
+    The traversal is depth-first left-to-right; identical occurrences get
+    distinct abbreviation variables (tree semantics, no sharing).  A boolean
+    input yields itself with no bindings.
+    """
+    gen = (gen or FreshGen()).advance_past(phi)
+    bindings: list[Binding] = []
+
+    def leave(f: Formula, kids: list) -> Formula:
+        if isinstance(f, App):
+            return App(f.op, tuple(kids))
+        if isinstance(f, Quant):
+            index = gen.allocate()
+            name = abbrev_name(index)
+            bindings.append(Binding(name, f.kind, f.block, f.body, index))
+            return Var(name)
+        return f
+
+    skeleton = fold(phi, leave, lambda q: False)  # quantifiers are leaves
+    return Decomposition(skeleton, tuple(bindings))
+
+
+def extract_quantifier(
+    psi: Formula,
+    p: str,
+    kind: Kind,
+    block: tuple[str, ...],
+    phi: Formula,
+    outer: tuple[str, ...],
+    gen: FreshGen | None = None,
+) -> Formula:
+    """Move one quantifier outwards, fusing it with an existing outer block.
+
+    Given that ``p`` abbreviates ``kind block . phi`` inside ``psi``, builds a
+    formula equivalent to ``exists outer . psi[p := kind block . phi]``: the
+    negative copies are bound universally outside, and ``outer``, the positive
+    copies, and ``p`` itself existentially inside, with one guard equation per
+    quantified variable.
+    """
+    gen = (gen or FreshGen()).advance_past(conj(psi, phi))
+    if p not in vars_of(psi):
+        raise PreconditionError(f"'{p}' does not occur in the host formula")
+    if p in free_vars(phi):
+        raise PreconditionError(f"'{p}' occurs free in the abbreviated body")
+    if any(
+        p in f.block if type(f) is Quant else type(f) is Var and f.name == p and blocks
+        for f, blocks, _ in scopes(psi)
+    ):
+        raise PreconditionError(
+            f"'{p}' occurs inside a quantifier scope of the host formula"
+        )
+    allowed = vars_of(psi) - vars_of(phi)
+    stray = set(outer) - allowed
+    if stray:
+        raise PreconditionError(
+            f"outer block variables {sorted(stray)} must occur in the host "
+            "formula and not in the abbreviated body"
+        )
+
+    index = gen.allocate()
+    positive = {x: pos_copy(x, index) for x in block}
+    negative = {x: neg_copy(x, index) for x in block}
+    sigma = {x: Var(positive[x]) for x in block}
+    parts = [psi, iff(Var(p), substitute(phi, sigma))]
+    head_of = (lambda q: neg(q)) if kind is Kind.EXISTS else (lambda q: q)
+    for x in block:
+        parts.append(implies(head_of(Var(p)), iff(Var(positive[x]), Var(negative[x]))))
+    inner = Quant(
+        Kind.EXISTS, tuple(outer) + tuple(positive.values()) + (p,), big_conj(parts)
+    )
+    return Quant(Kind.FORALL, tuple(negative.values()), inner)
+
+
+def step_transform(kind: Kind, phi: Formula, gen: FreshGen | None = None) -> StepResult:
+    """Rewrite one quantifier layer away, for re-binding under ``kind``.
+
+    Every abbreviation gets a defining biconditional (with its block replaced
+    by fresh positive copies) and, for non-empty blocks, exactly one guard:
+    for an existential binding the copies must agree when the abbreviation is
+    false, for a universal one when it is true.  The conjunction of these is
+    conjoined with the skeleton when ``kind`` is FORALL and made to imply it
+    when ``kind`` is EXISTS.
+    """
+    gen = gen or FreshGen()  # decompose_outermost advances it past phi
+    decomposition = decompose_outermost(phi, gen)
+    if not decomposition.bindings:
+        return StepResult(phi, frozenset(), frozenset())
+
+    parts: list[Formula] = []
+    negatives: set[str] = set()
+    positives: set[str] = set()
+    for b in decomposition.bindings:
+        positives.add(b.name)
+        sigma = {x: Var(pos_copy(x, b.index)) for x in b.block}
+        parts.append(iff(Var(b.name), substitute(b.body, sigma)))
+        if b.block:
+            equalities = big_conj(
+                [
+                    iff(Var(pos_copy(x, b.index)), Var(neg_copy(x, b.index)))
+                    for x in b.block
+                ]
+            )
+            head = neg(Var(b.name)) if b.kind is Kind.EXISTS else Var(b.name)
+            parts.append(implies(head, equalities))
+        for x in b.block:
+            positives.add(pos_copy(x, b.index))
+            negatives.add(neg_copy(x, b.index))
+
+    core = big_conj(parts)
+    if kind is Kind.FORALL:
+        psi = conj(core, decomposition.skeleton)
+    else:
+        psi = implies(core, decomposition.skeleton)
+    return StepResult(psi, frozenset(negatives), frozenset(positives))
 
 
 def layered_prenex_tracked(

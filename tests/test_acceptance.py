@@ -38,20 +38,20 @@ from qprenex.semantics import (
 from qprenex.core import big_conj, conj, disj, exists, forall, iff, neg, neg_copy, substitute
 from qprenex.export import to_prenex_text, to_qdimacs
 from qprenex.transform import (
-    extract_quantifier,
     naive_prenex,
     prenex,
     prenex_mc,
     prenex_tracked,
-    step_transform,
 )
 
 from helpers import (
     evaluate_via_mc,
+    extract_quantifier,
     flat_encoding_pair,
     metrics_example,
     oracle_problem,
     small_formula,
+    step_transform,
     worked_example,
     xor_block_input,
     xor_block_rewrite,
@@ -149,7 +149,7 @@ def test_criterion_5_equivalence_laws():
         rng = random.Random(20241)
 
         from qprenex.core import CaptureError
-        from qprenex.transform import PreconditionError
+        from helpers import PreconditionError
 
         # single-quantifier extraction, both kinds
         done = 0

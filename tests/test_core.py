@@ -16,7 +16,6 @@ from qprenex.core import (
     Var,
     abbrev_name,
     big_conj,
-    bound_vars,
     classify_name,
     conj,
     exists,
@@ -24,7 +23,6 @@ from qprenex.core import (
     forall,
     free_vars,
     is_boolean,
-    is_free_for,
     is_prenex,
     length,
     nblock,
@@ -41,7 +39,7 @@ from qprenex.generate import random_formula
 from qprenex.parser import parse_formula
 from qprenex.semantics import equivalent
 
-from helpers import fold_constants, metrics_example, small_formula
+from helpers import bound_vars, fold_constants, is_free_for, metrics_example, small_formula
 
 
 class TestLength:

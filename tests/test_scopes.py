@@ -15,10 +15,12 @@ from qprenex.cli import _transform
 from qprenex.core import TRUE, App, FreshGen, Kind, Quant, Var, qdepth, scopes, vars_of
 from qprenex.parser import parse_formula
 from qprenex.semantics import _binding_width
-from qprenex.transform import PreconditionError, _layer_counts, extract_quantifier, prenex
+from qprenex.transform import _layer_counts, prenex
 
 from helpers import (
+    PreconditionError,
     criterion_4_corpus,
+    extract_quantifier,
     generated_name_inputs,
     quantifier_chain,
     reference_binding_width,

@@ -11,7 +11,6 @@ from qprenex.core import (
     Quant,
     Var,
     big_conj,
-    bound_vars,
     conj,
     disj,
     exists,
@@ -42,6 +41,7 @@ from qprenex.semantics import (
 from qprenex.transform import prenex, prenex_mc
 
 from helpers import (
+    bound_vars,
     evaluate_via_mc,
     flat_encoding_pair,
     metrics_example,

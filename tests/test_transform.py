@@ -9,7 +9,6 @@ from qprenex.core import (
     Quant,
     TRUE,
     Var,
-    bound_vars,
     classify_name,
     exists,
     free_vars,
@@ -28,19 +27,15 @@ from qprenex.export import lower_operators, to_qcir, to_qdimacs
 from qprenex.generate import nested_iff_family, random_formula
 from qprenex.parser import format_formula, parse_formula
 from qprenex.semantics import Valuation, equisatisfiable, equivalent, equivalid, valid
-from qprenex.transform import (
-    PreconditionError,
-    decompose_outermost,
-    extract_quantifier,
-    prenex,
-    prenex_mc,
-    prenex_tracked,
-    step_transform,
-)
+from qprenex.transform import prenex, prenex_mc, prenex_tracked
 
 from helpers import (
+    PreconditionError,
+    bound_vars,
     criterion_4_corpus,
+    decompose_outermost,
     evaluate_via_mc,
+    extract_quantifier,
     fold_constants,
     generated_name_inputs,
     layered_prenex_mc,
@@ -48,6 +43,7 @@ from helpers import (
     oracle_problem,
     quantifier_chain,
     small_formula,
+    step_transform,
     worked_example,
     xor_block_input,
 )
@@ -448,6 +444,10 @@ class TestSinglePass:
         _same_as_layered(worked_example(), start=1)
         _same_as_layered(parse_formula("@a4 & (forall x@p2 . x@p2 | (exists y . y))",
                                        allow_internal_names=True))
+        # One Quant object at two maximal positions: each occurrence gets its
+        # own indices, as the tree-semantics reference gives them.
+        piece = parse_formula("exists x . x <-> (forall y . y)")
+        _same_as_layered(xor(piece, App("and", (piece, Var("a")))))
 
     def test_colliding_generator_keeps_bound_copy_apart(self):
         # Started at 1, the generator would name y's positive copy y@p1, which

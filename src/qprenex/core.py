@@ -31,14 +31,14 @@ class Kind(Enum):
         return Kind.FORALL if self is Kind.EXISTS else Kind.EXISTS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """Variable occurrence."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     """Application of a named boolean operator to argument formulas."""
 
@@ -46,7 +46,7 @@ class App:
     args: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quant:
     """Quantifier block binding a finite set of variables in a body.
 
@@ -132,6 +132,9 @@ class OperatorTable:
 
     def has(self, name: str) -> bool:
         return name in self._tables
+
+    def declares_user_operators(self) -> bool:
+        return len(self._tables) > len(BUILTIN_OPERATORS)
 
     def arity(self, name: str) -> int:
         return len(self._table(name)).bit_length() - 1
@@ -221,7 +224,7 @@ def big_conj(items: Iterable[Formula]) -> Formula:
 # node (qdepth, the transform's layers, the oracle's binding width) loops over
 # :func:`scopes`.  ``length`` stays on ``nodes``, which is 15-30% faster, and
 # :func:`free_vars` keeps its own loop, because it must see a block's scope
-# close.
+# close.  The walks tell nodes apart by exact type: do not subclass a node.
 
 _LEAVE = object()  # stack marker: the node below it has all its kids' values
 
@@ -243,29 +246,35 @@ def fold(
     a stack of their own, pushed in ``enter`` and popped in ``leave``.
     With ``memo``, keyed by ``id``, an application object with arguments is
     left once and its later occurrences reuse its value.  That is sound only
-    where a node's value does not depend on where it occurs.
+    where a node's value does not depend on where it occurs.  Nodes are told
+    apart by exact type, so an instance of a subclass of a node is not one.
     """
     values: list = []
     stack: list = [phi]
-    push, pop, put = stack.append, stack.pop, values.append
+    push, pop, extend, put = stack.append, stack.pop, stack.extend, values.append
     while stack:
         f = pop()
-        if f is _LEAVE:
-            f = pop()
-            n = len(f.args) if isinstance(f, App) else 1
-            kids = values[-n:]
-            del values[-n:]
-            put(leave(f, kids))
-            if memo is not None and type(f) is App:
-                memo[id(f)] = values[-1]
-        elif isinstance(f, App) and f.args:
+        if type(f) is Var:
+            put(leave(f, ()))
+        elif type(f) is App and f.args:
             if memo is not None and id(f) in memo:
                 put(memo[id(f)])
             else:
                 push(f)
                 push(_LEAVE)
-                stack.extend(reversed(f.args))
-        elif isinstance(f, Quant) and (enter is None or enter(f)):
+                extend(f.args[::-1])
+        elif f is _LEAVE:
+            f = pop()
+            if type(f) is App:
+                n = len(f.args)
+                kids = values[-n:]
+                del values[-n:]
+                put(leave(f, kids))
+                if memo is not None:
+                    memo[id(f)] = values[-1]
+            else:
+                values[-1] = leave(f, [values[-1]])
+        elif type(f) is Quant and (enter is None or enter(f)):
             push(f)
             push(_LEAVE)
             push(f.body)
@@ -493,7 +502,7 @@ ROLE_ABBREV = "abbrev"
 ROLE_TSEYTIN = "tseytin"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NameInfo:
     """Provenance of a variable name: role, source it copies, allocation index."""
 
@@ -514,20 +523,21 @@ def abbrev_name(index: int) -> str:
     return f"@a{index}"
 
 
-_ABBREV_RE = re.compile(r"@a(\d+)")
-_COPY_RE = re.compile(r"(.*)@([pn])(\d+)")
+_GENERATED_RE = re.compile(r"(.*)@([apn])(\d+)")
 
 
 def classify_name(name: str) -> NameInfo | None:
-    """Decode a generated name back to its provenance; None for source names."""
-    m = _ABBREV_RE.fullmatch(name)
-    if m:
-        return NameInfo(ROLE_ABBREV, "abbrev", int(m.group(1)))
-    m = _COPY_RE.fullmatch(name)
-    if m:
-        role = ROLE_POS if m.group(2) == "p" else ROLE_NEG
-        return NameInfo(role, m.group(1), int(m.group(3)))
-    return None
+    """Decode a generated name back to its provenance; None for source names,
+    such as ``x@a5``: only the tag after the last ``@`` decides."""
+    if RESERVED_CHAR not in name:
+        return None
+    m = _GENERATED_RE.fullmatch(name)
+    if m is None:
+        return None
+    origin, tag, index = m.groups()
+    if tag == "a":
+        return None if origin else NameInfo(ROLE_ABBREV, "abbrev", int(index))
+    return NameInfo(ROLE_POS if tag == "p" else ROLE_NEG, origin, int(index))
 
 
 class FreshGen:
@@ -553,10 +563,9 @@ class FreshGen:
     def advance_past(self, phi: Formula) -> "FreshGen":
         """Move past every index a generated name in ``phi`` carries; never back."""
         for name in vars_of(phi):
-            if RESERVED_CHAR in name:
-                info = classify_name(name)
-                if info is not None and info.index >= self._next:
-                    self._next = info.index + 1
+            info = classify_name(name)
+            if info is not None and info.index >= self._next:
+                self._next = info.index + 1
         return self
 
     def allocate(self) -> int:

@@ -95,8 +95,10 @@ class Manifest:
 def lower_operators(phi: Formula, table: OperatorTable | None = None) -> Formula:
     """Replace user truth-table operators by their minterm expansions;
     every subtree without one is shared, not copied, and an application
-    object that occurs more than once is lowered once."""
-    table = table or DEFAULT_TABLE
+    object that occurs more than once is lowered once.  Without a user
+    operator in ``table``, ``phi`` itself comes back, unwalked."""
+    if table is None or not table.declares_user_operators():
+        return phi
 
     def leave(f: Formula, kids: list) -> Formula:
         if isinstance(f, Var):

@@ -22,6 +22,8 @@ up exponentially once such operators nest.
 
 from __future__ import annotations
 
+from operator import is_
+
 from .core import (
     App,
     FALSE,
@@ -116,8 +118,7 @@ def prenex_tracked(
         if isinstance(f, Var):
             return env.get(f.name, f)
         if isinstance(f, App):
-            unchanged = all(a is b for a, b in zip(kids, f.args))
-            return f if unchanged else App(f.op, tuple(kids))
+            return f if all(map(is_, kids, f.args)) else App(f.op, tuple(kids))
         index, shadowed, copies = frames.pop()
         layer = len(frames)
         for x in f.block:

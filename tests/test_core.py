@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from qprenex.core import (
     FALSE,
     FreshGen,
     Kind,
+    NameInfo,
     OperatorTable,
     Quant,
     TRUE,
@@ -236,6 +238,10 @@ class TestOperatorTable:
         with pytest.raises(ValueError):
             table.add("bad", 1, (2, 0))
 
+    def test_declares_user_operators(self):
+        assert not OperatorTable().declares_user_operators()
+        assert _user_table().declares_user_operators()
+
     @pytest.mark.parametrize(
         "arity, expected",
         [(0, "1"), (3, "8"), (20_000, r"2\^20000"), (10**12, r"2\^1000000000000")],
@@ -260,6 +266,41 @@ class TestBuilders:
     def test_blocks_are_sorted_sets(self):
         assert exists(["y", "x", "y"], Var("p")).block == ("x", "y")
         assert forall(["b", "a"], Var("p")) == forall(["a", "b"], Var("p"))
+
+
+class TestSlottedNodes:
+    NODES = (
+        Var("x"),
+        App("and", (Var("x"), TRUE)),
+        Quant(Kind.FORALL, ("y",), Var("y")),
+        NameInfo("pos-copy", "x", 3),
+    )
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_no_dict_and_frozen(self, node):
+        assert not hasattr(node, "__dict__")
+        field = dataclasses.fields(node)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, getattr(node, field))
+        # CPython's frozen __setattr__ reaches a super() call that fails with
+        # TypeError under slots=True for a name that is not a field (3.10-3.13).
+        with pytest.raises((TypeError, AttributeError)):
+            node.extra = 1
+
+    def test_quant_sorts_and_dedupes_its_block(self):
+        q = Quant(Kind.EXISTS, ("y", "x", "y", "x"), Var("x"))
+        assert q.block == ("x", "y")
+
+    def test_equal_nodes_are_equal_keys(self):
+        def build():
+            return Quant(Kind.EXISTS, ("b", "a"), App("or", (Var("a"), Var("b"))))
+
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert {first: 1}[second] == 1
+        assert first != Quant(Kind.FORALL, ("a", "b"), first.body)
+        assert NameInfo("abbrev", "abbrev", 5) == classify_name("@a5")
 
 
 class TestFoldConstants:
@@ -346,6 +387,30 @@ class TestFreshGen:
         assert classify_name("x@n12").origin == "x"
         assert classify_name("@a5").index == 5
         assert classify_name("plain") is None
+
+    # Expected values read off the two-pattern decoder this one replaced;
+    # .map sidecars print them.
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("x@a5", None),
+            ("@a", None),
+            ("@a1x", None),
+            ("z@p", None),
+            ("a@b@p4", NameInfo("pos-copy", "a@b", 4)),
+            ("@p3", NameInfo("pos-copy", "", 3)),
+            ("@a007", NameInfo("abbrev", "abbrev", 7)),
+            ("@a1@p2", NameInfo("pos-copy", "@a1", 2)),
+            ("plain", None),
+            ("x@n2", NameInfo("neg-copy", "x", 2)),
+            ("y@p0", NameInfo("pos-copy", "y", 0)),
+            ("@n", None),
+            ("x@p1@a2", None),
+            ("@a1@a2", None),
+        ],
+    )
+    def test_classify_table(self, name, expected):
+        assert classify_name(name) == expected
 
     def test_never_collides_with_source(self):
         rng = random.Random(9)

@@ -17,6 +17,7 @@ from qprenex.core import (
     Var,
     conj,
     disj,
+    fold,
     free_vars,
     iff,
     implies,
@@ -160,6 +161,37 @@ class TestLoweringShares:
     def test_formula_without_user_operators_comes_back_itself(self):
         phi = prenex(Kind.EXISTS, nested_iff_family(30), FreshGen())
         assert lower_operators(phi) is phi
+
+    def test_no_user_operator_skips_the_walk(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("lower_operators walked its input")
+
+        monkeypatch.setattr("qprenex.export.fold", no_walk)
+        phi = prenex(Kind.EXISTS, nested_iff_family(4), FreshGen())
+        for table in (None, OperatorTable(), parse("a & b").table):
+            assert lower_operators(phi, table) is phi
+
+    def test_declared_user_operator_still_walks(self, monkeypatch):
+        walks = []
+
+        def counted(phi, *args, **kwargs):
+            walks.append(phi)
+            return fold(phi, *args, **kwargs)
+
+        monkeypatch.setattr("qprenex.export.fold", counted)
+        table = parse("op maj/3 : 00010111 ; a").table
+        phi = prenex(Kind.EXISTS, nested_iff_family(4), FreshGen())
+        assert lower_operators(phi, table) is phi
+        assert walks == [phi]
+
+    def test_undeclared_operator_is_refused_by_the_writers(self):
+        a, b = Var("a"), Var("b")
+        for phi in (App("foo", (a, b)), App("foo", (a,)), App("foo", ()),
+                    conj(a, App("foo", (TRUE, neg(b))))):
+            assert lower_operators(phi, OperatorTable()) is phi  # no KeyError
+            for write in (to_qcir, to_qdimacs):
+                with pytest.raises(UnloweredOperator, match="'foo'"):
+                    write(phi)
 
     def test_only_ancestors_of_user_operators_are_rebuilt(self):
         rng = random.Random(163)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import os
 import random
@@ -99,12 +100,7 @@ def _format_valuation(valuation: Valuation, names) -> str:
 
 
 def cmd_prenex(args: argparse.Namespace) -> int:
-    try:
-        problem = _read_problem(args.input, args.allow_internal_names)
-    except (OSError, ParseError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-
+    problem = _read_problem(args.input, args.allow_internal_names)
     formula = problem.formula
     in_length = length(formula)
     start = time.perf_counter()
@@ -144,21 +140,15 @@ def cmd_prenex(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     _at_least("--oracle-cap", args.oracle_cap, 0)
-    try:
-        problem = _read_problem(args.input, args.allow_internal_names)
-        if args.transformed is not None:
-            other = _read_problem(args.transformed, True)
-            if other.declarations != problem.declarations:
-                print("error: operator declarations differ between the files",
-                      file=sys.stderr)
-                return EXIT_INPUT
-            transformed = other.formula
-        else:
-            transformed = None
-    except (OSError, ParseError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-
+    problem = _read_problem(args.input, args.allow_internal_names)
+    transformed = None
+    if args.transformed is not None:
+        other = _read_problem(args.transformed, True)
+        if other.declarations != problem.declarations:
+            print("error: operator declarations differ between the files",
+                  file=sys.stderr)
+            return EXIT_INPUT
+        transformed = other.formula
     formula = problem.formula
     table = problem.table
     cap = args.oracle_cap
@@ -333,15 +323,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # No stage leaves cyclic garbage; the collector would only re-scan trees.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
-    except (_InputError, OSError) as err:
+    except (_InputError, OSError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (RecursionError, MemoryError) as err:
         detail = str(err) or "out of memory"
         print(f"error: {type(err).__name__}: {detail}", file=sys.stderr)
         return EXIT_INVARIANT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

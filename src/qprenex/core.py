@@ -10,7 +10,6 @@ names never contain it.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
@@ -60,7 +59,9 @@ class Quant:
     body: "Formula"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "block", tuple(sorted(set(self.block))))
+        block = self.block
+        if type(block) is not tuple or len(block) > 1:
+            object.__setattr__(self, "block", tuple(sorted(set(block))))
 
 
 Formula = Union[Var, App, Quant]
@@ -220,11 +221,13 @@ def big_conj(items: Iterable[Formula]) -> Formula:
 # prenexed formulas can nest far deeper than the recursion limit.  Every
 # rewrite is a node rule passed to the one explicit-stack loop in :func:`fold`
 # (a catamorphism: Meijer, Fokkinga & Paterson, FPCA 1991).  The metrics
-# that only count loop over :func:`nodes`; what depends on the blocks above a
-# node (qdepth, the transform's layers, the oracle's binding width) loops over
-# :func:`scopes`.  ``length`` stays on ``nodes``, which is 15-30% faster, and
-# :func:`free_vars` keeps its own loop, because it must see a block's scope
-# close.  The walks tell nodes apart by exact type: do not subclass a node.
+# that only count loop over the list :func:`nodes` returns; what depends on
+# the blocks above a node (qdepth, the transform's layers, the oracle's
+# binding width) loops over the generator :func:`scopes`, which holds no
+# tuple per node.  :func:`free_vars` keeps its own loop, because it must see
+# a block's scope close, and :func:`is_boolean` its own, because it stops at
+# the first quantifier.  The walks tell nodes apart by exact type: do not
+# subclass a node.
 
 _LEAVE = object()  # stack marker: the node below it has all its kids' values
 
@@ -287,20 +290,19 @@ def fold(
 # Metrics
 
 
-def nodes(phi: Formula) -> Iterator[Formula]:
+def nodes(phi: Formula) -> list[Formula]:
     """Every node of ``phi``, each before its children.
 
     The order among siblings and subtrees is unspecified.
     """
-    stack = [phi]
-    pop, push, extend = stack.pop, stack.append, stack.extend
-    while stack:
-        f = pop()
-        yield f
+    out = [phi]
+    extend = out.extend
+    for f in out:  # the loop also reads what it appends
         if type(f) is App:
             extend(f.args)
         elif type(f) is Quant:
-            push(f.body)
+            out.append(f.body)
+    return out
 
 
 def length(phi: Formula) -> int:
@@ -387,8 +389,14 @@ def free_vars(phi: Formula) -> frozenset[str]:
 
 
 def is_boolean(phi: Formula) -> bool:
-    """True iff the formula contains no quantifier."""
-    return not any(type(f) is Quant for f in nodes(phi))
+    """True iff the formula contains no quantifier; stops at the first one."""
+    out = [phi]
+    for f in out:
+        if type(f) is App:
+            out.extend(f.args)
+        elif type(f) is Quant:
+            return False
+    return True
 
 
 def is_prenex(phi: Formula) -> bool:
@@ -523,21 +531,27 @@ def abbrev_name(index: int) -> str:
     return f"@a{index}"
 
 
-_GENERATED_RE = re.compile(r"(.*)@([apn])(\d+)")
+def _decode_name(name: str) -> tuple[str, str, int] | None:
+    """``(role, origin, index)`` of a generated name, read off the tag after
+    its last ``@``; None for a source name, or an origin holding a newline."""
+    origin, at, tail = name.rpartition(RESERVED_CHAR)
+    index = tail[1:]
+    if not at or not index.isdecimal() or "\n" in origin:
+        return None
+    tag = tail[0]
+    if tag == "p":
+        return ROLE_POS, origin, int(index)
+    if tag == "n":
+        return ROLE_NEG, origin, int(index)
+    if tag == "a" and not origin:
+        return ROLE_ABBREV, "abbrev", int(index)
+    return None
 
 
 def classify_name(name: str) -> NameInfo | None:
     """Decode a generated name back to its provenance; None for source names,
     such as ``x@a5``: only the tag after the last ``@`` decides."""
-    if RESERVED_CHAR not in name:
-        return None
-    m = _GENERATED_RE.fullmatch(name)
-    if m is None:
-        return None
-    origin, tag, index = m.groups()
-    if tag == "a":
-        return None if origin else NameInfo(ROLE_ABBREV, "abbrev", int(index))
-    return NameInfo(ROLE_POS if tag == "p" else ROLE_NEG, origin, int(index))
+    return NameInfo(*decoded) if (decoded := _decode_name(name)) else None
 
 
 class FreshGen:
@@ -555,17 +569,23 @@ class FreshGen:
         if start < 1:
             raise ValueError("allocation indices start at 1")
         self._next = start
+        self._past: Formula | None = None  # the last formula advanced past
 
     @classmethod
     def for_formula(cls, phi: Formula) -> "FreshGen":
         return cls().advance_past(phi)
 
     def advance_past(self, phi: Formula) -> "FreshGen":
-        """Move past every index a generated name in ``phi`` carries; never back."""
+        """Move past every index a generated name in ``phi`` carries; never
+        back.  The last ``phi`` is not scanned again: nodes are immutable,
+        and the next index only grows."""
+        if phi is self._past:
+            return self
         for name in vars_of(phi):
-            info = classify_name(name)
-            if info is not None and info.index >= self._next:
-                self._next = info.index + 1
+            decoded = RESERVED_CHAR in name and _decode_name(name)
+            if decoded and decoded[2] >= self._next:
+                self._next = decoded[2] + 1
+        self._past = phi
         return self
 
     def allocate(self) -> int:

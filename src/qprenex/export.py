@@ -35,7 +35,7 @@ from .core import (
     ROLE_TSEYTIN,
     TRUE,
     Var,
-    classify_name,
+    _decode_name,
     disj,
     fold,
     fold_app,
@@ -72,9 +72,8 @@ class Manifest:
     entries: list[str | range] = field(default_factory=list)  # rows, or gate ids
 
     def record_name(self, emitted: str, name: str) -> None:
-        info = classify_name(name)
-        row = (info.role, info.origin, info.index) if info else (ROLE_SOURCE, name, "-")
-        self.entries.append("{}\t{}\t{}\t{}".format(emitted, *row))
+        role, origin, index = _decode_name(name) or (ROLE_SOURCE, name, "-")
+        self.entries.append(f"{emitted}\t{role}\t{origin}\t{index}")
 
     def record_tseytin(self, ids: range) -> None:
         self.entries.append(ids)

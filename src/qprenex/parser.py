@@ -82,19 +82,12 @@ class Problem:
 # ---------------------------------------------------------------------------
 # Lexer
 
-# Every match skips blanks and comments, then reads one token into group 1;
-# any other character lands in the catch-all group 2, so no input position
-# goes unread.
+# One match per token, comment, or any other character that is not a blank,
+# so no input position goes unread; the search skips the blanks between.
 _TOKEN_RE = re.compile(
-    r"""
-    (?:[ \t\r\n]|\#[^\n]*)*
-    (?:
-        ([A-Za-z_@][A-Za-z0-9_@]*|[0-9]+|<->|->|[().,;:/~&|])
-      | (.)
-    )?
-    """,
-    re.VERBOSE | re.DOTALL,
+    r"[A-Za-z_@][A-Za-z0-9_@]*|[0-9]+|<->|->|[().,;:/~&|]|#[^\n]*|[^ \t\r\n]"
 )
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_@")
 # Keywords and symbols are typed by their own text.
 _TYPES = {word: word for word in KEYWORDS}
 _TYPES.update((symbol, symbol) for symbol in ("<->", "->", *"().,;:/~&|"))
@@ -126,25 +119,26 @@ def _lex(text: str, allow_internal_names: bool) -> list[tuple[str, str, int]]:
     put = tokens.append
     typed = _TYPES.get
     for m in _TOKEN_RE.finditer(text):
-        word = m[1]
-        if word is None:
-            if m[2] is None:  # blanks at the end of the input
-                continue
-            raise _error(text, m.start(2), f"unexpected character {m[2]!r}")
+        word = m[0]
         kind = typed(word)
         if kind is None:
-            if word[0].isdigit():
+            first = word[0]
+            if "0" <= first <= "9":
                 kind = "int"
-            elif RESERVED_CHAR in word and not allow_internal_names:
-                raise _error(
-                    text,
-                    m.start(1) + word.index(RESERVED_CHAR),
-                    "reserved character '@' in identifier "
-                    "(generated names need allow_internal_names)",
-                )
-            else:
+            elif first in _NAME_START:
+                if RESERVED_CHAR in word and not allow_internal_names:
+                    raise _error(
+                        text,
+                        m.start() + word.index(RESERVED_CHAR),
+                        "reserved character '@' in identifier "
+                        "(generated names need allow_internal_names)",
+                    )
                 kind = "name"
-        put((kind, word, m.start(1)))
+            elif first == "#":
+                continue
+            else:
+                raise _error(text, m.start(), f"unexpected character {first!r}")
+        put((kind, word, m.start()))
     put(("eof", "", len(text)))
     return tokens
 

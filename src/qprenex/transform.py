@@ -22,6 +22,7 @@ up exponentially once such operators nest.
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import is_
 
 from .core import (
@@ -34,13 +35,10 @@ from .core import (
     TRUE,
     Var,
     abbrev_name,
-    big_conj,
     conj,
     fold,
     fold_app,
     free_vars,
-    iff,
-    implies,
     is_boolean,
     length,
     neg,
@@ -108,40 +106,47 @@ def prenex_tracked(
         layer = len(frames)
         index = next_index[layer]
         next_index[layer] = index + 1
-        shadowed = [(x, env[x]) for x in f.block if x in env]
-        copies = [Var(pos_copy(x, index)) for x in f.block]
-        env.update(zip(f.block, copies))
+        shadowed = []
+        copies = []
+        for x in f.block:
+            if x in env:
+                shadowed.append((x, env[x]))
+            env[x] = copy = Var(pos_copy(x, index))
+            copies.append(copy)
         frames.append((index, shadowed, copies))
         return True
 
     def leave(f: Formula, kids: list) -> Formula:
-        if isinstance(f, Var):
+        if type(f) is Var:
             return env.get(f.name, f)
-        if isinstance(f, App):
+        if type(f) is App:
             return f if all(map(is_, kids, f.args)) else App(f.op, tuple(kids))
         index, shadowed, copies = frames.pop()
         layer = len(frames)
         for x in f.block:
             del env[x]
         env.update(shadowed)
-        abbrev = Var(abbrev_name(index))
+        name = abbrev_name(index)
+        abbrev = Var(name)
         layer_parts = parts[layer]
-        layer_parts.append(iff(abbrev, kids[0]))
-        positives[layer].append(abbrev.name)
-        if f.block:
-            partners = [Var(neg_copy(x, index)) for x in f.block]
-            equalities = big_conj([iff(p, q) for p, q in zip(copies, partners)])
-            head = neg(abbrev) if f.kind is Kind.EXISTS else abbrev
-            layer_parts.append(implies(head, equalities))
-            positives[layer].extend(p.name for p in copies)
-            negatives[layer].extend(q.name for q in partners)
+        layer_parts.append(App("iff", (abbrev, kids[0])))
+        names = positives[layer]
+        names.append(name)
+        if copies:
+            equalities = []
+            for x, p in zip(f.block, copies):
+                names.append(p.name)
+                negatives[layer].append(q := neg_copy(x, index))
+                equalities.append(App("iff", (p, Var(q))))
+            head = App("not", (abbrev,)) if f.kind is Kind.EXISTS else abbrev
+            layer_parts.append(App("imp", (head, reduce(conj, equalities))))
         return abbrev
 
     matrix = fold(phi, leave, enter)
     kinds = [kind if layer % 2 == 0 else kind.dual for layer in range(len(counts))]
     for q, layer_parts in zip(kinds, parts):
-        core = big_conj(layer_parts)
-        matrix = conj(core, matrix) if q is Kind.FORALL else implies(core, matrix)
+        core = reduce(conj, layer_parts)  # parts are never ``true``
+        matrix = App("and" if q is Kind.FORALL else "imp", (core, matrix))
     inner_negatives: list[str] = []
     for layer in reversed(range(len(counts))):
         block = tuple(positives[layer] + inner_negatives)

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from qprenex import cli
@@ -299,6 +301,30 @@ def test_memory_fault_is_one_line_with_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_gen", exhausted)
     assert run(["gen"]) == 2
     assert capsys.readouterr().err == "error: MemoryError: out of memory\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("error", [MemoryError, KeyError])
+def test_collector_is_off_during_a_command_and_restored(monkeypatch, capsys, enabled, error):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_gen", command)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is KeyError:
+            with pytest.raises(KeyError):
+                run(["gen"])
+        else:
+            assert run(["gen"]) == 2
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 class TestInputErrors:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qprenex import core
 from qprenex.core import (
     App,
     BUILTIN_OPERATORS,
@@ -37,11 +38,14 @@ from qprenex.core import (
     substitute,
     vars_of,
 )
+from qprenex.export import Manifest
 from qprenex.generate import random_formula
-from qprenex.parser import parse_formula
+from qprenex.parser import format_formula, parse_formula
 from qprenex.semantics import equivalent
+from qprenex.transform import prenex, prenex_mc
 
 from helpers import bound_vars, fold_constants, is_free_for, metrics_example, small_formula
+from test_golden import golden_corpora
 
 
 class TestLength:
@@ -367,13 +371,115 @@ class TestNodes:
     def test_every_node_once_parents_first(self):
         phi = parse_formula("(exists x . a & ~(exists x y . b)) & maj(c, true, d)",
                             _user_table())
-        seen = list(nodes(phi))
-        assert len(seen) == 11
-        assert seen[0] is phi
-        for position, f in enumerate(seen):
-            kids = f.args if isinstance(f, App) else (f.body,) if isinstance(f, Quant) else ()
-            for kid in kids:
-                assert any(g is kid for g in seen[position + 1 :])
+        seen = nodes(phi)
+        assert type(seen) is list and len(seen) == 11
+        for psi in [phi] + [p.formula for ps in golden_corpora().values() for p in ps]:
+            seen = nodes(psi)
+            assert seen[0] is psi
+            last = {id(f): position for position, f in enumerate(seen)}
+            for position, f in enumerate(seen):
+                kids = f.args if type(f) is App else (f.body,) if type(f) is Quant else ()
+                assert all(last[id(kid)] > position for kid in kids)
+
+
+def _recursive_counts(f):
+    """``(length, nblock, nbvar, vars_of, is_boolean)`` by plain recursion."""
+    if type(f) is Var:
+        return 1, 0, 0, {f.name}, True
+    if type(f) is Quant:
+        n, b, v, names, _ = _recursive_counts(f.body)
+        return n + 1 + len(f.block), b + 1, v + len(f.block), names | set(f.block), False
+    n, b, v, names, boolean = int(f.op != "not"), 0, 0, set(), True
+    for kid in map(_recursive_counts, f.args):
+        n, b, v, names, boolean = (
+            n + kid[0], b + kid[1], v + kid[2], names | kid[3], boolean and kid[4]
+        )
+    return n, b, v, names, boolean
+
+
+class TestWalkContracts:
+    """``nodes`` returns a list, the counting metrics loop over it, and
+    ``is_boolean`` keeps a loop of its own that stops early."""
+
+    def test_counting_metrics_match_recursion(self):
+        for phi in [p.formula for ps in golden_corpora().values() for p in ps]:
+            expected = _recursive_counts(phi)
+            got = length(phi), nblock(phi), nbvar(phi), set(vars_of(phi)), is_boolean(phi)
+            assert got == expected
+
+    def test_is_boolean_returns_at_the_first_quantifier(self):
+        # A body whose arguments are not a tuple breaks any walk that enters it.
+        broken = App("or", None)
+        phi = conj(Var("a"), exists(["x"], broken))
+        with pytest.raises(TypeError):
+            length(phi)
+        assert is_boolean(phi) is False
+
+    @pytest.mark.parametrize("kind", [Kind.EXISTS, Kind.FORALL, None])
+    def test_given_generator_scans_its_input_once(self, kind, monkeypatch):
+        phi = parse_formula("x@p4 & (exists y . y xor @a2) & ~(forall z . z -> y)",
+                            allow_internal_names=True)
+        run = (lambda f, gen=None: prenex_mc(f, gen)) if kind is None else (
+            lambda f, gen=None: prenex(kind, f, gen))
+        expected = format_formula(run(phi))
+        scanned = []
+        real = core.vars_of
+        monkeypatch.setattr(core, "vars_of", lambda f: scanned.append(f) or real(f))
+        assert format_formula(run(phi, FreshGen.for_formula(phi))) == expected
+        assert sum(f is phi for f in scanned) == 1
+        # An equal but distinct object is scanned again.
+        twin = parse_formula(format_formula(phi), allow_internal_names=True)
+        assert twin == phi and twin is not phi
+        gen = FreshGen.for_formula(phi)
+        scanned.clear()
+        gen.advance_past(twin)
+        assert [f is twin for f in scanned] == [True]
+        # Scanning again never moves the generator back.
+        gen = FreshGen(9)
+        assert gen.advance_past(phi).advance_past(phi).allocate() == 9
+        assert gen.advance_past(phi).allocate() == 10
+
+
+# Names and their provenance, or None for a source name.
+_CLASSIFY_TABLE = [
+    ("x@a5", None),
+    ("@a", None),
+    ("@a1x", None),
+    ("z@p", None),
+    ("a@b@p4", NameInfo("pos-copy", "a@b", 4)),
+    ("@p3", NameInfo("pos-copy", "", 3)),
+    ("@a007", NameInfo("abbrev", "abbrev", 7)),
+    ("@a1@p2", NameInfo("pos-copy", "@a1", 2)),
+    ("plain", None),
+    ("x@n2", NameInfo("neg-copy", "x", 2)),
+    ("y@p0", NameInfo("pos-copy", "y", 0)),
+    ("@n", None),
+    ("x@p1@a2", None),
+    ("@a1@a2", None),
+]
+
+# The .map rows (after the emitted id) that the regex decoder
+# ``(.*)@([apn])(\d+)`` gave: its ``.`` stops at a newline, and its ``\d``
+# takes any decimal digit.
+_REGEX_ROWS = {
+    "x@a5": "source\tx@a5\t-",
+    "@a": "source\t@a\t-",
+    "@a1x": "source\t@a1x\t-",
+    "z@p": "source\tz@p\t-",
+    "a@b@p4": "pos-copy\ta@b\t4",
+    "@p3": "pos-copy\t\t3",
+    "@a007": "abbrev\tabbrev\t7",
+    "@a1@p2": "pos-copy\t@a1\t2",
+    "plain": "source\tplain\t-",
+    "x@n2": "neg-copy\tx\t2",
+    "y@p0": "pos-copy\ty\t0",
+    "@n": "source\t@n\t-",
+    "x@p1@a2": "source\tx@p1@a2\t-",
+    "@a1@a2": "source\t@a1@a2\t-",
+    "x\n@p1": "source\tx\n@p1\t-",
+    "x@p\u0663": "pos-copy\tx\t3",
+    "@a\u0661": "abbrev\tabbrev\t1",
+}
 
 
 class TestFreshGen:
@@ -388,29 +494,22 @@ class TestFreshGen:
         assert classify_name("@a5").index == 5
         assert classify_name("plain") is None
 
-    # Expected values read off the two-pattern decoder this one replaced;
-    # .map sidecars print them.
-    @pytest.mark.parametrize(
-        "name, expected",
-        [
-            ("x@a5", None),
-            ("@a", None),
-            ("@a1x", None),
-            ("z@p", None),
-            ("a@b@p4", NameInfo("pos-copy", "a@b", 4)),
-            ("@p3", NameInfo("pos-copy", "", 3)),
-            ("@a007", NameInfo("abbrev", "abbrev", 7)),
-            ("@a1@p2", NameInfo("pos-copy", "@a1", 2)),
-            ("plain", None),
-            ("x@n2", NameInfo("neg-copy", "x", 2)),
-            ("y@p0", NameInfo("pos-copy", "y", 0)),
-            ("@n", None),
-            ("x@p1@a2", None),
-            ("@a1@a2", None),
-        ],
-    )
+    # Expected values read off the two-pattern decoder that preceded the
+    # regex; .map sidecars print them.
+    @pytest.mark.parametrize("name, expected", _CLASSIFY_TABLE)
     def test_classify_table(self, name, expected):
         assert classify_name(name) == expected
+
+    @pytest.mark.parametrize(
+        "name", [name for name, _ in _CLASSIFY_TABLE] + ["x\n@p1", "x@p\u0663", "@a\u0661"]
+    )
+    def test_map_row_matches_classify_name(self, name):
+        manifest = Manifest()
+        manifest.record_name("7", name)
+        info = classify_name(name)
+        row = (info.role, info.origin, info.index) if info else ("source", name, "-")
+        assert manifest.entries == ["7\t{}\t{}\t{}".format(*row)]
+        assert manifest.entries == ["7\t" + _REGEX_ROWS[name]]
 
     def test_never_collides_with_source(self):
         rng = random.Random(9)

@@ -292,6 +292,34 @@ class TestReferenceParser:
 
 
 @pytest.mark.parametrize(
+    "text, allow, error_at",
+    [
+        ("a # \u00fc <- !\n& b", False, None),
+        ("a & b # no newline at the end", False, None),
+        ("# only\n# comments\nexists x .\tx", False, None),
+        ("exists x .\r\n\tx &\r\n\ty", False, None),
+        ("a &\r\n\t!b", False, (2, 2)),
+        ("a < b", False, (1, 3)),
+        ("a - b", False, (1, 3)),
+        ("a > b", False, (1, 3)),
+        ("!a", False, (1, 1)),
+        ("a\fb", False, (1, 2)),
+        ("\u00e9", False, (1, 1)),
+        ("a\u00e9", False, (1, 2)),
+        ("12abc", False, (1, 1)),
+        ("x@p1", False, (1, 2)),
+        ("x@p1", True, None),
+    ],
+)
+def test_lexer_cases_match_reference(text, allow, error_at):
+    """Comments, blanks and stray characters: the same formula as the
+    reference, or the same error at the same line and column."""
+    got = _outcome(parse, text, allow)
+    assert got == _outcome(reference_parse, text, allow)
+    assert (got[1:] if isinstance(got[0], str) else None) == error_at
+
+
+@pytest.mark.parametrize(
     "text",
     ["~" * 100_000 + "(forall x . x)", format_formula(nested_iff_family(10_000))],
     ids=["negations_100k", "nested_iff_10k"],

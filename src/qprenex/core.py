@@ -30,22 +30,29 @@ class Kind(Enum):
         return Kind.FORALL if self is Kind.EXISTS else Kind.EXISTS
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Var:
     """Variable occurrence."""
 
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class App:
     """Application of a named boolean operator to argument formulas."""
 
     op: str
     args: tuple["Formula", ...]
 
+    def __init__(self, op: str, args: tuple["Formula", ...]) -> None:
+        _set_op(self, op)
+        _set_args(self, args)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Quant:
     """Quantifier block binding a finite set of variables in a body.
 
@@ -58,11 +65,19 @@ class Quant:
     block: tuple[str, ...]
     body: "Formula"
 
-    def __post_init__(self) -> None:
-        block = self.block
+    def __init__(self, kind: Kind, block: Iterable[str], body: "Formula") -> None:
         if type(block) is not tuple or len(block) > 1:
-            object.__setattr__(self, "block", tuple(sorted(set(block))))
+            block = tuple(sorted(set(block)))
+        _set_kind(self, kind)
+        _set_block(self, block)
+        _set_body(self, body)
 
+
+# Node constructors set each slot through its descriptor, not through the
+# frozen ``__setattr__``: every stage builds about one node per input symbol.
+_set_name = Var.__dict__["name"].__set__
+_set_op, _set_args = (App.__dict__[f].__set__ for f in App.__slots__)
+_set_kind, _set_block, _set_body = (Quant.__dict__[f].__set__ for f in Quant.__slots__)
 
 Formula = Union[Var, App, Quant]
 
@@ -221,13 +236,13 @@ def big_conj(items: Iterable[Formula]) -> Formula:
 # prenexed formulas can nest far deeper than the recursion limit.  Every
 # rewrite is a node rule passed to the one explicit-stack loop in :func:`fold`
 # (a catamorphism: Meijer, Fokkinga & Paterson, FPCA 1991).  The metrics
-# that only count loop over the list :func:`nodes` returns; what depends on
-# the blocks above a node (qdepth, the transform's layers, the oracle's
-# binding width) loops over the generator :func:`scopes`, which holds no
-# tuple per node.  :func:`free_vars` keeps its own loop, because it must see
-# a block's scope close, and :func:`is_boolean` its own, because it stops at
-# the first quantifier.  The walks tell nodes apart by exact type: do not
-# subclass a node.
+# that only count loop over the list :func:`nodes` returns, and qdepth and
+# the transform's layers over the per-layer lists of :func:`layer_counts`;
+# the oracle's binding width, which depends on the names bound above a node,
+# loops over the generator :func:`scopes`.  :func:`free_vars` keeps its own
+# loop, because it must see a block's scope close, and :func:`is_boolean` its
+# own, because it stops at the first quantifier.  The walks tell nodes apart
+# by exact type: do not subclass a node.
 
 _LEAVE = object()  # stack marker: the node below it has all its kids' values
 
@@ -308,13 +323,31 @@ def nodes(phi: Formula) -> list[Formula]:
 def length(phi: Formula) -> int:
     """Symbol count: variables and operators weigh 1, negations weigh 0,
     a quantifier block weighs 1 plus its number of variables."""
-    total = 0
-    for f in nodes(phi):
+    every = nodes(phi)
+    total = len(every)
+    for f in every:
         if type(f) is Quant:
-            total += 1 + len(f.block)
-        elif type(f) is Var or f.op != "not":
-            total += 1
+            total += len(f.block)
+        elif type(f) is App and f.op == "not":
+            total -= 1
     return total
+
+
+def layer_counts(phi: Formula) -> list[int]:
+    """Number of quantifier nodes at each layer (layer 0 is outermost)."""
+    counts: list[int] = []
+    layer = [phi]
+    while True:
+        bodies = []
+        for f in layer:  # the loop also reads what it appends
+            if type(f) is App:
+                layer.extend(f.args)
+            elif type(f) is Quant:
+                bodies.append(f.body)
+        if not bodies:
+            return counts
+        counts.append(len(bodies))
+        layer = bodies
 
 
 def scopes(phi: Formula) -> Iterator[tuple[Formula, int, int]]:
@@ -338,7 +371,7 @@ def scopes(phi: Formula) -> Iterator[tuple[Formula, int, int]]:
 
 def qdepth(phi: Formula) -> int:
     """Maximum nesting of quantifier blocks along any path (not alternation)."""
-    return max((b + 1 for f, b, _ in scopes(phi) if type(f) is Quant), default=0)
+    return len(layer_counts(phi))
 
 
 def nblock(phi: Formula) -> int:

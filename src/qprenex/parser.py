@@ -25,6 +25,10 @@ operator stacks, so nesting depth costs no Python frames: ``exists`` and
 ``formula`` starts, whose scope closes at ``)``, ``,`` or the end of input;
 ``~`` is a prefix operator of the highest.
 
+Tokens are bare strings, typed by their own text (keywords and symbols) or
+their first character (names and integers); a search for stray characters
+precedes reading, and only an error lexes the text again for its position.
+
 ``#`` starts a comment running to end of line.  A multi-variable quantifier
 ``exists x y . f`` parses as a single block {x, y}.  Declared truth tables
 are bitstrings of length 2^arity, indexed by the argument tuple read as a
@@ -82,15 +86,22 @@ class Problem:
 # ---------------------------------------------------------------------------
 # Lexer
 
-# One match per token, comment, or any other character that is not a blank,
-# so no input position goes unread; the search skips the blanks between.
-_TOKEN_RE = re.compile(
-    r"[A-Za-z_@][A-Za-z0-9_@]*|[0-9]+|<->|->|[().,;:/~&|]|#[^\n]*|[^ \t\r\n]"
-)
+# One match per token or comment; the search skips the blanks between.
+_TOKEN_RE = re.compile(r"[A-Za-z_@][A-Za-z0-9_@]*|[0-9]+|<->|->|[().,;:/~&|]|#[^\n]*")
+# Each comment, to step over it, and each character outside comments that
+# is no blank and starts no token; ``@`` too where names may not hold it.
+_STRAY = r"#[^\n]*|[^A-Za-z0-9_@().,;:/~&|<>\- \t\r\n]|<(?!->)|-(?!>)|>(?<!->)"
+_STRAY_RE = {True: re.compile(_STRAY), False: re.compile(_STRAY + "|@")}
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_@")
-# Keywords and symbols are typed by their own text.
+# Keywords and symbols are typed by their own text, the end of input ("")
+# by ``eof``; other tokens by their first character: ``name`` or ``int``.
 _TYPES = {word: word for word in KEYWORDS}
 _TYPES.update((symbol, symbol) for symbol in ("<->", "->", *"().,;:/~&|"))
+_TYPES[""] = "eof"
+
+
+def _type(word: str) -> str:
+    return _TYPES.get(word) or ("name" if word[0] in _NAME_START else "int")
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -99,47 +110,30 @@ def _error(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _unexpected(text: str, token: tuple[str, str, int], expected: str) -> ParseError:
-    _, found, offset = token
-    return _error(
-        text,
-        offset,
-        f"expected {expected}, found {found!r}" if found else
-        f"expected {expected}, found end of input",
-    )
+def _token_error(text: str, i: int, message: str) -> ParseError:
+    """A :class:`ParseError` at token ``i``, lexing the text again for offsets."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text) if m[0][0] != "#"]
+    return _error(text, starts[i] if i < len(starts) else len(text), message)
 
 
-def _lex(text: str, allow_internal_names: bool) -> list[tuple[str, str, int]]:
-    """All tokens of ``text`` as ``(type, text, offset)``, ending in ``eof``.
+def _unexpected(text: str, tokens: list[str], i: int, expected: str) -> ParseError:
+    found = repr(tokens[i]) if tokens[i] else "end of input"
+    return _token_error(text, i, f"expected {expected}, found {found}")
 
-    The type of a keyword or a symbol is its own text; names and integers
-    have the types ``name`` and ``int``.
-    """
-    tokens = []
-    put = tokens.append
-    typed = _TYPES.get
-    for m in _TOKEN_RE.finditer(text):
-        word = m[0]
-        kind = typed(word)
-        if kind is None:
-            first = word[0]
-            if "0" <= first <= "9":
-                kind = "int"
-            elif first in _NAME_START:
-                if RESERVED_CHAR in word and not allow_internal_names:
-                    raise _error(
-                        text,
-                        m.start() + word.index(RESERVED_CHAR),
-                        "reserved character '@' in identifier "
-                        "(generated names need allow_internal_names)",
-                    )
-                kind = "name"
-            elif first == "#":
-                continue
-            else:
-                raise _error(text, m.start(), f"unexpected character {first!r}")
-        put((kind, word, m.start()))
-    put(("eof", "", len(text)))
+
+def _lex(text: str, allow_internal_names: bool) -> list[str]:
+    """All tokens of ``text`` and then ``""``, the end of input; the first stray
+    character, or ``@`` without ``allow_internal_names``, raises first."""
+    for m in _STRAY_RE[bool(allow_internal_names)].finditer(text):
+        if m[0] == RESERVED_CHAR:
+            raise _error(text, m.start(), "reserved character '@' in identifier "
+                         "(generated names need allow_internal_names)")
+        if m[0][0] != "#":
+            raise _error(text, m.start(), f"unexpected character {m[0]!r}")
+    tokens = _TOKEN_RE.findall(text)
+    if "#" in text:
+        tokens = [word for word in tokens if word[0] != "#"]
+    tokens.append("")
     return tokens
 
 
@@ -157,7 +151,7 @@ _DECLARATION = (
 
 
 def _declarations(
-    text: str, tokens: list[tuple[str, str, int]], table: OperatorTable
+    text: str, tokens: list[str], table: OperatorTable
 ) -> tuple[list[OpDecl], int]:
     """Read the leading ``op`` declarations into ``table``.
 
@@ -167,16 +161,15 @@ def _declarations(
     """
     decls: list[OpDecl] = []
     i = 0
-    while tokens[i][0] == "op":
-        fields = tokens[i + 1 : i + 7]
-        for token, (ttype, what) in zip(fields, _DECLARATION):
-            if token[0] != ttype:
-                raise _unexpected(text, token, what)
+    while tokens[i] == "op":
+        for j, (ttype, what) in enumerate(_DECLARATION, i + 1):
+            if _type(tokens[j]) != ttype:
+                raise _unexpected(text, tokens, j, what)
+        name, _, arity_text, _, bits, _ = tokens[i + 1 : i + 7]
         i += 7
-        (_, name, name_at), _, (_, arity_text, _), _, (_, bits, bits_at), _ = fields
         if bits.strip("01"):
-            raise _error(
-                text, bits_at, f"truth table for '{name}' must contain only 0/1 bits"
+            raise _token_error(
+                text, i - 2, f"truth table for '{name}' must contain only 0/1 bits"
             )
         size = len(bits)
         arity = size.bit_length() - 1  # the only arity ``size`` bits can fit
@@ -184,15 +177,15 @@ def _declarations(
         if size != 1 << arity or digits != str(arity):
             # Spelled out below arity 10,000, as a power above it.
             expected = str(1 << int(digits)) if len(digits) <= 4 else f"2^{digits}"
-            raise _error(
+            raise _token_error(
                 text,
-                bits_at,
+                i - 2,
                 f"truth table for '{name}' has {size} bits, "
                 f"expected {expected} for arity {digits}",
             )
         if table.has(name):
-            raise _error(
-                text, name_at, f"operator '{name}' collides with an existing operator"
+            raise _token_error(
+                text, i - 6, f"operator '{name}' collides with an existing operator"
             )
         table.add(name, arity, (int(b) for b in bits))
         decls.append(OpDecl(name, arity, bits))
@@ -228,18 +221,16 @@ _QUANTIFIERS = {"exists": Kind.EXISTS, "forall": Kind.FORALL}
 
 
 def _application(
-    text: str, table: OperatorTable, name: str, args: tuple, offset: int
+    text: str, table: OperatorTable, name: str, args: tuple, at: int
 ) -> Formula:
     try:
         table.rows(name, len(args))
     except ValueError as err:
-        raise _error(text, offset, str(err)) from None
+        raise _token_error(text, at, str(err)) from None
     return App(name, args)
 
 
-def _read(
-    text: str, tokens: list[tuple[str, str, int]], i: int, table: OperatorTable
-) -> Formula:
+def _read(text: str, tokens: list[str], i: int, table: OperatorTable) -> Formula:
     """Read one formula from ``tokens[i]`` up to the end of input.
 
     Precedence climbing over explicit stacks (Pratt, POPL 1973): operands
@@ -249,23 +240,25 @@ def _read(
     values: list[Formula] = []
     ops: list[tuple] = [_BOTTOM]
     put, push, pop = values.append, ops.append, ops.pop
+    typed = _TYPES.get
     start = True  # a quantifier may open the formula read next
     while True:
         # An operand is due: an atom, or a prefix that defers it.
-        ttype, word, offset = tokens[i]
+        word = tokens[i]
         i += 1
+        ttype = typed(word) or ("name" if word[0] in _NAME_START else "int")
         if ttype == "name":
-            if tokens[i][0] != "(":
+            if tokens[i] != "(":
                 put(Var(word))
             elif not table.has(word):
-                raise _error(text, offset, f"unknown operator '{word}'")
-            elif tokens[i + 1][0] != ")":
-                push((-2, word, len(values), offset))
+                raise _token_error(text, i - 1, f"unknown operator '{word}'")
+            elif tokens[i + 1] != ")":
+                push((-2, word, len(values), i - 1))
                 i += 1
                 start = True
                 continue
             else:
-                put(_application(text, table, word, (), offset))
+                put(_application(text, table, word, (), i - 1))
                 i += 2
         elif ttype == "(":
             push(_GROUP)
@@ -279,31 +272,31 @@ def _read(
             put(App(ttype, ()))
         elif start and ttype in _QUANTIFIERS:
             block: dict[str, None] = {}
-            ntype, name, at = tokens[i]
-            while ntype == "name":
+            while _type(name := tokens[i]) == "name":
                 if name in block:
-                    raise _error(
-                        text, at, f"duplicate variable '{name}' in one quantifier block"
+                    raise _token_error(
+                        text, i, f"duplicate variable '{name}' in one quantifier block"
                     )
                 block[name] = None
                 i += 1
-                ntype, name, at = tokens[i]
             if not block:
-                raise _error(text, at, f"expected at least one variable after '{word}'")
-            if ntype != ".":
-                raise _unexpected(text, tokens[i], "'.'")
+                raise _token_error(
+                    text, i, f"expected at least one variable after '{word}'"
+                )
+            if name != ".":
+                raise _unexpected(text, tokens, i, "'.'")
             i += 1
             push((0, _QUANTIFIERS[ttype], tuple(block)))
             continue
         else:
-            raise _unexpected(text, tokens[i - 1], "a formula")
+            raise _unexpected(text, tokens, i - 1, "a formula")
 
         # An operand is complete: apply binary operators and close delimiters
-        # until one more operand is due.
+        # until one more operand is due; symbols are compared as they are.
         while True:
-            ttype = tokens[i][0]
+            word = tokens[i]
             i += 1
-            binary = _BINARY.get(ttype)
+            binary = _BINARY.get(word)
             # Any other token closes every pending operator, quantifiers too.
             limit = 0 if binary is None else binary[2]
             while ops[-1][0] >= limit:
@@ -321,18 +314,18 @@ def _read(
                 break
             top = ops[-1]
             if top is _GROUP:
-                if ttype != ")":
-                    raise _unexpected(text, tokens[i - 1], "')'")
+                if word != ")":
+                    raise _unexpected(text, tokens, i - 1, "')'")
                 pop()
             elif top is _BOTTOM:
-                if ttype != "eof":
-                    raise _unexpected(text, tokens[i - 1], "end of input")
+                if word:
+                    raise _unexpected(text, tokens, i - 1, "end of input")
                 return values[0]
-            elif ttype == ",":
+            elif word == ",":
                 start = True
                 break
-            elif ttype != ")":
-                raise _unexpected(text, tokens[i - 1], "')'")
+            elif word != ")":
+                raise _unexpected(text, tokens, i - 1, "')'")
             else:
                 pop()
                 _, name, base, at = top

@@ -40,12 +40,12 @@ from .core import (
     fold_app,
     free_vars,
     is_boolean,
+    layer_counts,
     length,
     neg,
     neg_copy,
     pos_copy,
     prefix_blocks,
-    scopes,
     substitute,
 )
 
@@ -59,17 +59,6 @@ class SizeBudgetExceeded(Exception):
         self.size = size
         self.budget = budget
         super().__init__(f"rewritten formula reached length {size} (budget {budget})")
-
-
-def _layer_counts(phi: Formula) -> list[int]:
-    """Number of quantifier nodes at each layer (layer 0 is outermost)."""
-    counts: list[int] = []
-    for f, layer, _ in scopes(phi):
-        if type(f) is Quant:
-            if layer == len(counts):
-                counts.append(0)
-            counts[layer] += 1
-    return counts
 
 
 def prenex_tracked(
@@ -86,7 +75,7 @@ def prenex_tracked(
     and fused blocks are assembled inside out at the end.
     """
     gen = (gen or FreshGen()).advance_past(phi)
-    counts = _layer_counts(phi)
+    counts = layer_counts(phi)
     if not counts:
         return phi, frozenset()
     next_index: list[int] = []
@@ -177,7 +166,7 @@ def prenex_mc(phi: Formula, gen: FreshGen | None = None) -> Formula:
     untouched.
     """
     gen = (gen or FreshGen()).advance_past(phi)
-    counts = _layer_counts(phi)
+    counts = layer_counts(phi)
     if not counts:
         return phi
     # Skip the indices the layered construction's abbreviations take, to match it.

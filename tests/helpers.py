@@ -53,9 +53,11 @@ from qprenex.export import (
 from qprenex.generate import random_formula, random_problem
 from qprenex.parser import (
     KEYWORDS,
+    OpDecl,
     ParseError,
     Problem,
-    _declarations,
+    _DECLARATION,
+    _error,
     format_problem,
     parse,
     parse_formula,
@@ -371,6 +373,23 @@ def reference_layer_counts(phi: Formula) -> list[int]:
             stack.append((f.body, layer + 1))
         elif isinstance(f, App):
             stack.extend((a, layer) for a in f.args)
+    return counts
+
+
+# The ``scopes`` definitions that ``core.layer_counts`` replaced for the layer
+# counts and ``qdepth``.
+
+def scopes_qdepth(phi: Formula) -> int:
+    return max((b + 1 for f, b, _ in scopes(phi) if type(f) is Quant), default=0)
+
+
+def scopes_layer_counts(phi: Formula) -> list[int]:
+    counts: list[int] = []
+    for f, layer, _ in scopes(phi):
+        if type(f) is Quant:
+            if layer == len(counts):
+                counts.append(0)
+            counts[layer] += 1
     return counts
 
 
@@ -732,6 +751,62 @@ def reference_tokens(text: str, allow_internal_names: bool) -> list[tuple[str, s
         tokens.append((kind, word, start))
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+# The library's declaration reader over ``(type, text, offset)`` tokens, as
+# it was before the lexer returned bare strings: the reference parser keeps
+# reading declarations without the library's reader.
+def _unexpected(text: str, token: tuple[str, str, int], expected: str) -> ParseError:
+    _, found, offset = token
+    return _error(
+        text,
+        offset,
+        f"expected {expected}, found {found!r}" if found else
+        f"expected {expected}, found end of input",
+    )
+
+
+def _declarations(
+    text: str, tokens: list[tuple[str, str, int]], table: OperatorTable
+) -> tuple[list[OpDecl], int]:
+    """Read the leading ``op`` declarations into ``table``.
+
+    Returns them with the index of the first token after them.  The arity is
+    checked against the number of bits without computing ``2 ** arity``, so
+    an absurd arity is an ordinary error.
+    """
+    decls: list[OpDecl] = []
+    i = 0
+    while tokens[i][0] == "op":
+        fields = tokens[i + 1 : i + 7]
+        for token, (ttype, what) in zip(fields, _DECLARATION):
+            if token[0] != ttype:
+                raise _unexpected(text, token, what)
+        i += 7
+        (_, name, name_at), _, (_, arity_text, _), _, (_, bits, bits_at), _ = fields
+        if bits.strip("01"):
+            raise _error(
+                text, bits_at, f"truth table for '{name}' must contain only 0/1 bits"
+            )
+        size = len(bits)
+        arity = size.bit_length() - 1  # the only arity ``size`` bits can fit
+        digits = arity_text.lstrip("0") or "0"
+        if size != 1 << arity or digits != str(arity):
+            # Spelled out below arity 10,000, as a power above it.
+            expected = str(1 << int(digits)) if len(digits) <= 4 else f"2^{digits}"
+            raise _error(
+                text,
+                bits_at,
+                f"truth table for '{name}' has {size} bits, "
+                f"expected {expected} for arity {digits}",
+            )
+        if table.has(name):
+            raise _error(
+                text, name_at, f"operator '{name}' collides with an existing operator"
+            )
+        table.add(name, arity, (int(b) for b in bits))
+        decls.append(OpDecl(name, arity, bits))
+    return decls, i
 
 
 class ReferenceParser:

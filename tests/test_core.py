@@ -307,6 +307,51 @@ class TestSlottedNodes:
         assert NameInfo("abbrev", "abbrev", 5) == classify_name("@a5")
 
 
+class TestNodeConstruction:
+    """The hand-written constructors keep what the generated ones gave."""
+
+    @pytest.mark.parametrize(
+        "block",
+        [["y", "x"], {"y", "x"}, ("y", "x", "y"), ("x",)],
+        ids=["list", "set", "unsorted_tuple", "one_name_tuple"],
+    )
+    def test_quant_block_is_sorted(self, block):
+        q = Quant(Kind.EXISTS, block, Var("x"))
+        assert type(q.block) is tuple
+        assert q.block == tuple(sorted(set(block)))
+
+    def test_replace_on_each_node_type(self):
+        x = Var("x")
+        assert dataclasses.replace(x, name="y") == Var("y")
+        app = App("and", (x, TRUE))
+        assert dataclasses.replace(app, op="or") == App("or", (x, TRUE))
+        assert dataclasses.replace(app) == app
+        q = Quant(Kind.EXISTS, ("x",), x)
+        assert dataclasses.replace(q, kind=Kind.FORALL) == Quant(Kind.FORALL, ("x",), x)
+        assert dataclasses.replace(q, block=["z", "x"]).block == ("x", "z")
+        assert dataclasses.replace(q, body=TRUE).body == TRUE
+
+    def test_equal_nodes_hash_equal(self):
+        pairs = [
+            (Var("x"), Var("x")),
+            (App("xor", (Var("x"), Var("y"))), App("xor", (Var("x"), Var("y")))),
+            (App("true", ()), TRUE),
+            (Quant(Kind.FORALL, ["b", "a"], Var("a")), Quant(Kind.FORALL, ("a", "b"), Var("a"))),
+        ]
+        for first, second in pairs:
+            assert first is not second
+            assert first == second and hash(first) == hash(second)
+        assert Var("x") != Var("y") and App("and", ()) != App("or", ())
+
+    def test_keyword_arguments_and_repr(self):
+        q = Quant(kind=Kind.EXISTS, block=("x",), body=Var(name="x"))
+        assert q == Quant(Kind.EXISTS, ("x",), Var("x"))
+        assert repr(App(op="not", args=(Var("p"),))) == (
+            "App(op='not', args=(Var(name='p'),))"
+        )
+        assert [f.name for f in dataclasses.fields(Quant)] == ["kind", "block", "body"]
+
+
 class TestFoldConstants:
     def test_matches_oracle(self):
         rng = random.Random(17)

@@ -309,6 +309,21 @@ class TestReferenceParser:
         ("12abc", False, (1, 1)),
         ("x@p1", False, (1, 2)),
         ("x@p1", True, None),
+        ("a # x@p1 <- !\n& b", False, None),
+        ("a # c !\n& !b", False, (2, 3)),
+        ("a & # comment\n$b", False, (2, 1)),
+        ("a\r\n\r\n  & %", False, (3, 5)),
+        ("op g/2 : 0110 ;\ng(a, b) $", False, (2, 9)),
+        ("op g/2 : 0110 ; # two-ary\nop k/0 : 1 ; # nullary\ng(a, k())", False, None),
+        ("op k/0 : 1 ;\nk() # end", False, None),
+        ("a # c\n& (b", False, (2, 5)),
+        ("# c\nop g/2 : 011 ;\ng(a, b)", False, (2, 10)),
+        ("# c\nexists x # d\nx . x", False, (3, 1)),
+        ("a <-- b", False, (1, 3)),
+        ("a ->> b", False, (1, 5)),
+        ("a<->>b", False, (1, 5)),
+        ("a # c\n& x@p1 & $", False, (2, 4)),
+        ("a # c\n& $ & x@p1", False, (2, 3)),
     ],
 )
 def test_lexer_cases_match_reference(text, allow, error_at):

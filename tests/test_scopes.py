@@ -1,10 +1,12 @@
-"""``core.scopes`` against the stack loops it replaced.
+"""The scope and layer walks against the loops they replaced.
 
 ``qdepth``, the transform's layer counts, the oracle's binding width and the
 scope precondition of ``extract_quantifier`` must each agree with its old
 hand-written loop (kept in ``tests/helpers.py``) on the golden corpora and
 their outputs, the criterion-4 corpus and its ``sat`` outputs, the
 generated-name inputs, and 10^5-deep chains at the default recursion limit.
+``layer_counts`` and ``qdepth`` also agree with their ``scopes`` definitions,
+which ``layer_counts`` replaced.
 """
 
 import sys
@@ -12,10 +14,22 @@ import sys
 import pytest
 
 from qprenex.cli import _transform
-from qprenex.core import TRUE, App, FreshGen, Kind, Quant, Var, qdepth, scopes, vars_of
+from qprenex.core import (
+    TRUE,
+    App,
+    FreshGen,
+    Kind,
+    Quant,
+    Var,
+    layer_counts,
+    qdepth,
+    scopes,
+    vars_of,
+)
+from qprenex.generate import nested_iff_family
 from qprenex.parser import parse_formula
 from qprenex.semantics import _binding_width
-from qprenex.transform import _layer_counts, prenex
+from qprenex.transform import prenex
 
 from helpers import (
     PreconditionError,
@@ -27,6 +41,8 @@ from helpers import (
     reference_layer_counts,
     reference_not_in_quantifier_scope,
     reference_qdepth,
+    scopes_layer_counts,
+    scopes_qdepth,
 )
 from test_golden import MODES, golden_corpora
 from test_transform import _and_chain, _imp_chain
@@ -47,7 +63,7 @@ def _agree(phi, names=None):
     """The new walks match the references on ``phi``; the scope precondition
     is probed for ``names``, by default every name of ``phi``."""
     assert qdepth(phi) == reference_qdepth(phi)
-    assert _layer_counts(phi) == reference_layer_counts(phi)
+    assert layer_counts(phi) == reference_layer_counts(phi)
     assert _binding_width(phi) == reference_binding_width(phi)
     for name in sorted(vars_of(phi)) if names is None else names:
         expected = not reference_not_in_quantifier_scope(phi, name)
@@ -112,3 +128,38 @@ class TestScopes:
     def test_deep_chains_at_default_recursion_limit(self, build, names):
         assert sys.getrecursionlimit() <= 1000
         _agree(build(100_000), names)
+
+
+class TestLayerSweep:
+    """``layer_counts`` and ``qdepth`` against their ``scopes`` definitions."""
+
+    @staticmethod
+    def _agree(phi):
+        assert layer_counts(phi) == scopes_layer_counts(phi)
+        assert qdepth(phi) == scopes_qdepth(phi) == len(layer_counts(phi))
+
+    def test_hand_cases(self):
+        assert layer_counts(parse_formula("p & q")) == []
+        phi = parse_formula("(exists x . (forall y . y) & (exists z . x)) | (forall w . w)")
+        assert layer_counts(phi) == [2, 2]
+        assert layer_counts(Quant(Kind.EXISTS, (), Var("p"))) == [1]
+
+    def test_nested_iff_family(self):
+        for k in range(1, 9):
+            phi = nested_iff_family(k)
+            self._agree(phi)
+            assert layer_counts(phi) == [1] * k
+
+    def test_acceptance_corpus_and_sat_outputs(self):
+        for problem in criterion_4_corpus():
+            phi = problem.formula
+            self._agree(phi)
+        for problem in criterion_4_corpus()[:1000]:
+            self._agree(prenex(Kind.EXISTS, problem.formula))
+
+    def test_random_corpus_and_outputs(self):
+        for problem in golden_corpora()["random200"]:
+            phi = problem.formula
+            self._agree(phi)
+            for mode in MODES:
+                self._agree(_transform(mode, phi))
